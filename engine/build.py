@@ -595,12 +595,15 @@ def build_index(
         # write_part map tasks).  The override is per PARTITION, so it
         # is derived from the largest partition count any groupby in
         # this build uses — an oversized pool deadlocks small sessions
-        # (aggregators wait forever for CPUs the map tasks hold).
+        # (aggregators wait forever for CPUs the map tasks hold).  The
+        # pool's total stays at most n_cpus - 1 so one whole CPU is
+        # always left for the 1-CPU map tasks: in a 1-CPU session the
+        # aggregators reserve none.
         dedup_eff = min(cfg.dedup_partitions, max(4, n_cpus * 2))
         max_parts = max(num_partitions, dedup_eff)
         n_aggr = max(2, min(max_parts, n_cpus // 2))
         ppa = -(-max_parts // n_aggr)  # partitions per aggregator, ceil
-        cpu_override = 0.5 / ppa
+        cpu_override = max(0.0, min(0.5, (n_cpus - 1) / n_aggr)) / ppa
         for c in ctxs:
             c.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
             c.max_hash_shuffle_aggregators = n_aggr

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import json
 import os
 import threading
@@ -55,6 +56,21 @@ from engine.tokenize import tokenize
 def _error(message: str, etype: str, code: str) -> dict:
     # reference error shape, server/src/lib.rs ErrorResponse/ErrorDetail
     return {"error": {"message": message, "type": etype, "code": code}}
+
+
+def _internal_error(e: Exception) -> tuple[int, dict]:
+    # a supported call failed inside the engine: a server fault (the
+    # capability probes answer 400 before any call for missing shapes)
+    return 500, _error(f"internal error: {e}", "internal_error",
+                       "internal_error")
+
+
+# /v1/search shape -> (what, error code) when a serving tier lacks it
+_UNSUPPORTED = {
+    "search": ("filter/facet", "unsupported_filter"),
+    "search_phrase": ("phrase", "unsupported_phrase"),
+    "search_weighted": ("weighted-term search", "unsupported_weighted"),
+}
 
 
 # known magic prefixes for the classifier's decode-and-sniff step
@@ -272,8 +288,17 @@ class EngineHttpServer:
             "usage": {"prompt_tokens": n_tokens, "total_tokens": n_tokens},
         }
 
+    def _backend(self):
+        """-> (backend, lock): the service tier, or the local index
+        under ``_search_lock`` (its decoded-term LRU is not thread-safe;
+        the actor tiers serialize inside their own workers)."""
+        if self.service is not None:
+            return self.service, contextlib.nullcontext()
+        return self.index, self._search_lock
+
     def _search(self, req: dict) -> tuple[int, dict]:
-        if self.index is None and self.service is None:
+        backend, lock = self._backend()
+        if backend is None:
             return 400, _error("no index mounted", "invalid_request_error",
                                "no_index")
         query = req.get("query", "")
@@ -336,15 +361,16 @@ class EngineHttpServer:
             return 400, _error(
                 "with_total is not supported with phrase=true",
                 "invalid_request_error", "invalid_request")
+        kwargs = {"where": where} if where is not None else {}
         # weights={"term": w, ...}: weighted-term (learned-sparse /
         # SPLADE-seam) retrieval — engine/query.py search_weighted.
         # Terms are taken verbatim (the caller supplies an analyzed
         # sparse query vector).  The doc-values "filter" composes (a
         # per-doc predicate — tenant-filtered sparse retrieval); the
-        # clause machinery (phrase, boolean gates, facets, totals,
-        # snippets) scores TOKENIZED queries and does not compose with
-        # a weight vector, so those combinations are a clean 400
-        # instead of a silently-ignored knob.
+        # clause machinery (phrase, boolean gates, facets) scores
+        # TOKENIZED queries and does not compose with a weight vector,
+        # so those combinations are a clean 400 instead of a
+        # silently-ignored knob.
         weights = req.get("weights")
         if weights is not None:
             if (query or phrase or must or require_all or exclude
@@ -361,123 +387,56 @@ class EngineHttpServer:
                     "weights must be a non-empty {term: number} object",
                     "invalid_request_error", "invalid_request")
             weights = {str(t): float(v) for t, v in weights.items()}
-            # snippet windows for a sparse query: the weight KEYS are
-            # the query terms (already analyzed), so the standard
-            # best-window hydration runs on them directly
-            snip_q = " ".join(weights)
-            try:
-                if self.service is not None:
-                    hits = self.service.search_weighted(
-                        weights, k=k + offset, where=where)[offset:]
-                    urls = (self.service.url_of([d for d, _ in hits])
-                            if hits else [])
-                    snips = (self.service.snippets_of(
-                        snip_q, [d for d, _ in hits], snippet_col)
-                        if snippets and hits else None)
-                    total = (self.service.match_count_weighted(
-                        weights, where=where) if with_total else None)
-                else:
-                    with self._search_lock:
-                        hits = self.index.search_weighted(
-                            weights, k=k + offset, where=where)[offset:]
-                        urls = (self.index.url_of([d for d, _ in hits])
-                                if hits else [])
-                        snips = (self.index.snippets_of(
-                            snip_q, [d for d, _ in hits], snippet_col)
-                            if snippets and hits else None)
-                        total = (self.index.match_count_weighted(
-                            weights, where=where) if with_total else None)
-            except (FileNotFoundError, KeyError) as e:  # missing sidecar
-                return 400, _error(str(e), "invalid_request_error",
-                                   "no_doc_values")
-            except AttributeError:
-                return 400, _error(
-                    "weighted-term search not supported by this "
-                    "serving tier",
-                    "invalid_request_error", "unsupported_weighted")
-            out = {"hits": [
-                {"doc_id": int(d), "score": float(s), "url": u}
-                for (d, s), u in zip(hits, urls)]}
-            if snips is not None:
-                for h, sn in zip(out["hits"], snips):
-                    h["snippet"] = sn
-            if total is not None:
-                out["total"] = int(total)
-            return 200, out
-        kwargs = {"where": where} if where is not None else {}
-        if exclude:
-            kwargs["exclude"] = str(exclude)
-        if must:
-            kwargs["must"] = str(must)
-        if require_all:
-            kwargs["require_all"] = True
+            # the weight KEYS are the query terms (already analyzed):
+            # snippets and totals run on them directly
+            search, count = "search_weighted", "match_count_weighted"
+            target, snip_q, search_kw = weights, " ".join(weights), kwargs
+        else:
+            if exclude:
+                kwargs["exclude"] = str(exclude)
+            if must:
+                kwargs["must"] = str(must)
+            if require_all:
+                kwargs["require_all"] = True
+            search = "search_phrase" if phrase else "search"
+            count, target, snip_q = "match_count", query, query
+            search_kw = dict(kwargs, slop=slop) if phrase else kwargs
+        # capability probe: a serving tier without the requested shape
+        # (term-sharded fronts cannot run a phrase without shipping
+        # position runs between shards) is a client-visible 400, while
+        # an AttributeError raised INSIDE a supported call is a server
+        # fault and answers 500 below
+        wanted = [search, count if with_total else None,
+                  "facet_counts" if facet_col else None,
+                  "facet_histogram" if hist else None]
+        if not all(hasattr(backend, m) for m in wanted if m):
+            what, code = _UNSUPPORTED[search]
+            return 400, _error(f"{what} not supported by this serving "
+                               "tier", "invalid_request_error", code)
+        facets = hrows = snips = total = None
         try:
-            if self.service is not None:
-                hits = (self.service.search_phrase(
-                    query, k=k + offset, slop=slop, **kwargs) if phrase
-                    else self.service.search(query, k=k + offset,
-                                             **kwargs))[offset:]
-                urls = (self.service.url_of([d for d, _ in hits])
-                        if hits else [])
-                out = {"hits": [
-                    {"doc_id": int(d), "score": float(s), "url": u}
-                    for (d, s), u in zip(hits, urls)]}
+            with lock:
+                hits = getattr(backend, search)(
+                    target, k=k + offset, **search_kw)[offset:]
+                ids = [d for d, _ in hits]
+                urls = backend.url_of(ids) if hits else []
                 if with_total:
-                    out["total"] = int(
-                        self.service.match_count(query, **kwargs))
+                    total = getattr(backend, count)(target, **kwargs)
                 if snippets and hits:
                     # every serving tier hydrates shard/replica-side
                     # (serve.py snippets_of) — only window strings move
-                    for h, sn in zip(out["hits"], self.service.snippets_of(
-                            query, [d for d, _ in hits], snippet_col)):
-                        h["snippet"] = sn
+                    snips = backend.snippets_of(snip_q, ids, snippet_col)
                 if facet_col:
-                    out["facets"] = [
-                        {"value": v, "n_docs": int(n)} for v, n in
-                        self.service.facet_counts(
-                            query, facet_col, where=where,
-                            require_all=require_all, must=must,
-                            exclude=exclude)]
+                    facets = backend.facet_counts(query, facet_col,
+                                                  **kwargs)
                 if hist:
-                    out["histogram"] = [
-                        {"lo": lo, "hi": hi, "n_docs": int(n)}
-                        for lo, hi, n in self.service.facet_histogram(
-                            query, hist["col"], hist["edges"],
-                            where=where, require_all=require_all,
-                            must=must, exclude=exclude)]
-                return 200, out
-            with self._search_lock:
-                hits = (self.index.search_phrase(
-                    query, k=k + offset, slop=slop, **kwargs) if phrase
-                    else self.index.search(query, k=k + offset,
-                                           **kwargs))[offset:]
-                urls = (self.index.url_of([d for d, _ in hits])
-                        if hits else [])
-                facets = (self.index.facet_counts(
-                    query, facet_col, where=where,
-                    require_all=require_all, must=must,
-                    exclude=exclude) if facet_col else None)
-                hrows = (self.index.facet_histogram(
-                    query, hist["col"], hist["edges"], where=where,
-                    require_all=require_all, must=must,
-                    exclude=exclude) if hist else None)
-                snips = (self.index.snippets_of(
-                    query, [d for d, _ in hits], snippet_col)
-                    if snippets and hits else None)
-                total = (self.index.match_count(query, **kwargs)
-                         if with_total else None)
+                    hrows = backend.facet_histogram(
+                        query, hist["col"], hist["edges"], **kwargs)
         except (FileNotFoundError, KeyError) as e:  # missing sidecar/col
             return 400, _error(str(e), "invalid_request_error",
                                "no_doc_values")
-        except AttributeError:
-            # serving tier without the requested capability (term-
-            # sharded fronts hold no per-doc data and cannot run a
-            # phrase without shipping position runs between shards)
-            what = "phrase" if phrase else "filter/facet"
-            return 400, _error(
-                f"{what} not supported by this serving tier",
-                "invalid_request_error",
-                "unsupported_phrase" if phrase else "unsupported_filter")
+        except AttributeError as e:
+            return _internal_error(e)
         except ValueError as e:
             # engine-side request-shape errors with a clear message
             # (e.g. phrase search over a non-positional index)
@@ -674,7 +633,7 @@ class EngineHttpServer:
     def _suggest(self, req: dict) -> tuple[int, dict]:
         """Prefix autocomplete: {"prefix": ..., "k": 10} ->
         {"suggestions": [{"term", "df"}]} (engine/query.py suggest)."""
-        backend = self.service if self.service is not None else self.index
+        backend, lock = self._backend()
         if backend is None:
             return 400, _error("no index mounted", "invalid_request_error",
                                "no_index")
@@ -686,16 +645,15 @@ class EngineHttpServer:
             # error, not a handler-thread crash
             return 400, _error("k must be an integer",
                                "invalid_request_error", "invalid_request")
-        try:
-            if self.service is not None:
-                rows = self.service.suggest(prefix, k=k)
-            else:
-                with self._search_lock:
-                    rows = self.index.suggest(prefix, k=k)
-        except AttributeError:
+        if not hasattr(backend, "suggest"):
             return 400, _error(
                 "suggest not supported by this serving tier",
                 "invalid_request_error", "unsupported_suggest")
+        try:
+            with lock:
+                rows = backend.suggest(prefix, k=k)
+        except AttributeError as e:
+            return _internal_error(e)
         return 200, {"suggestions": [
             {"term": t, "df": int(df)} for t, df in rows]}
 

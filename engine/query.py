@@ -46,7 +46,31 @@ from engine import index_io
 from engine.config import EngineConfig
 from engine.postings import (decode_postings, decode_skips, decode_block,
                              decode_positions, gather_slices)
-from engine.tokenize import tokenize, stable_hash64
+from engine.tokenize import HASH_FNS, tokenize
+
+
+def terms_of(query: str, cfg: EngineConfig) -> list[str]:
+    """Distinct query terms in first-occurrence order (qtf ignored —
+    BASELINE.md): the one analyzer every loader and serving front uses."""
+    return list(dict.fromkeys(tokenize(query, cfg.cjk_unigrams)))
+
+
+def part_of(term: str, cfg: EngineConfig) -> int:
+    """Term -> its term-partition id (the build's routing hash); the
+    term-sharded tier derives term -> shard from it."""
+    hasher = HASH_FNS[cfg.term_hash]
+    return int(hasher(np.array([term], dtype=object))[0]
+               % np.uint64(cfg.num_parts))
+
+
+def weight_items(term_weights) -> list[tuple[str, float]]:
+    """A weighted query (dict term -> weight, or iterable of (term,
+    weight) pairs) as its nonzero (term, weight) pairs in input order.
+    A repeated term stays repeated: each pair is its own accumulation
+    step, on every tier alike."""
+    items = (term_weights.items() if isinstance(term_weights, dict)
+             else term_weights)
+    return [(str(t), float(w)) for t, w in items if float(w) != 0.0]
 
 
 class InvertedIndex:
@@ -253,12 +277,6 @@ class InvertedIndex:
         return mask
 
     # -- segment access -----------------------------------------------------
-    def _part_of(self, term: str) -> int:
-        from engine.tokenize import HASH_FNS
-        hasher = HASH_FNS[getattr(self.cfg, "term_hash", "sip")]
-        return int(hasher(np.array([term], dtype=object))[0]
-                   % np.uint64(self.cfg.num_parts))
-
     _TERM_COLS = ("df", "cf", "post_off", "post_len", "skip_off",
                   "skip_len")
 
@@ -308,7 +326,7 @@ class InvertedIndex:
 
     def lookup(self, term: str):
         """term -> (df, postings bytes, skips ndarray) or None."""
-        entry, postings, skips = self._load_part(self._part_of(term))
+        entry, postings, skips = self._load_part(part_of(term, self.cfg))
         ent = self._term_row(entry, term)
         if ent is None:
             return None
@@ -384,7 +402,7 @@ class InvertedIndex:
     def lookup_positions(self, term: str):
         """term -> (df, postings bytes, skips, positions bytes) or None.
         Raises on an index built without ``store_positions=True``."""
-        part = self._part_of(term)
+        part = part_of(term, self.cfg)
         entry, postings, skips = self._load_part(part)
         ent = self._term_row(entry, term)
         if ent is None:
@@ -400,7 +418,7 @@ class InvertedIndex:
     def df_of(self, term: str) -> int:
         """Local document frequency (0 if absent) — the term-dictionary
         probe of the distributed-stats exchange; no posting decode."""
-        entry, _, _ = self._load_part(self._part_of(term))
+        entry, _, _ = self._load_part(part_of(term, self.cfg))
         ent = self._term_row(entry, term)
         return 0 if ent is None else int(ent[0])
 
@@ -419,22 +437,21 @@ class InvertedIndex:
         foreign id would otherwise map to a neighbour's slot — the
         serving tiers rely on the None to merge per-worker answers
         (each doc's url is resident on exactly one range worker)."""
+        pos, held = self._held(doc_ids)
+        return [self._urls[p] if h else None
+                for p, h in zip(pos.tolist(), held.tolist())]
+
+    def _held(self, doc_ids) -> tuple[np.ndarray, np.ndarray]:
+        """doc ids -> (slot in ``_doc_ids``, held by this loader?)."""
         ids = np.asarray(doc_ids, np.int64)
-        if self._doc_ids.size == 0 or ids.size == 0:
-            return [None] * ids.size
-        pos = np.searchsorted(self._doc_ids, ids)
-        safe = np.minimum(pos, self._doc_ids.size - 1)
-        ok = (pos < self._doc_ids.size) & (self._doc_ids[safe] == ids)
-        return [self._urls[p] if o else None
-                for p, o in zip(safe.tolist(), ok.tolist())]
+        if self._doc_ids.size == 0:
+            return np.zeros(ids.size, np.int64), np.zeros(ids.size, bool)
+        pos = np.minimum(np.searchsorted(self._doc_ids, ids),
+                         self._doc_ids.size - 1)
+        return pos, self._doc_ids[pos] == ids
 
     def query_terms(self, query: str) -> list[str]:
-        # distinct terms, first-occurrence order (qtf ignored — BASELINE.md)
-        seen, out = set(), []
-        for t in tokenize(query, self.cfg.cjk_unigrams):
-            if t not in seen:
-                seen.add(t); out.append(t)
-        return out
+        return terms_of(query, self.cfg)
 
     def values_of(self, doc_ids, col: str) -> list:
         """Per-hit stored-field hydration (Lucene stored-fields read):
@@ -530,21 +547,15 @@ class InvertedIndex:
         switches to the AND match set).  Docs without a sidecar row are
         not counted under any facet value.  Deletes are already masked
         out of decoded runs; ``where`` / ``must`` / ``exclude`` compose
-        (facet within the same gated set the hits come from).  Pure
-        integer work: the match mask indexes the factorized code array
-        once, then one bincount."""
-        matched = self._match_mask(query, require_all)
-        if matched is None:
-            return []
-        if must:
-            mm = self._must_mask(must)
-            if mm is None:                 # absent must-term: empty set
-                return []
-            matched = matched & mm
-        if exclude:
-            matched = matched & self._exclude_mask(exclude)
-        if where is not None:
-            matched = matched & self.where_mask(*where)
+        (facet within the same gated set the hits come from)."""
+        matched = self._gated_match(self.query_terms(query), require_all,
+                                    must, exclude, where)
+        return [] if matched is None else self._value_counts(matched, col)
+
+    def _value_counts(self, matched: np.ndarray, col: str) -> list[tuple]:
+        """[(value, n_docs)] of ``col`` over a doc mask, (count desc,
+        value asc).  Pure integer work: the mask indexes the factorized
+        code array once, then one bincount."""
         codes, uniq = self._load_doc_values(col)
         c = codes[matched]
         c = c[c >= 0]
@@ -569,52 +580,69 @@ class InvertedIndex:
         work over the same decoded runs search() uses — no scoring, no
         top-k cut; an absent must-term gives 0 (matching search's
         empty result)."""
-        matched = self._match_mask(query, require_all)
-        if matched is None:
-            return 0
-        if must:
-            mm = self._must_mask(must)
-            if mm is None:
-                return 0
-            matched = matched & mm
-        if exclude:
-            matched = matched & self._exclude_mask(exclude)
-        if where is not None:
-            matched = matched & self.where_mask(*where)
-        if where_range is not None:
-            matched = matched & self.range_mask(*where_range)
-        return int(matched.sum())
+        matched = self._gated_match(self.query_terms(query), require_all,
+                                    must, exclude, where, where_range)
+        return 0 if matched is None else int(matched.sum())
 
-    def _match_mask(self, query: str,
+    def _decoded(self, term: str):
+        """One term's full decode -> (pos, scores), or None when the
+        term is absent.  Scores use the GLOBAL (overridden) idf, as in
+        search(): mask-only callers ignore them, but the decode CACHES
+        them — the local df would poison the cache for scored searches
+        on a doc-range shard."""
+        e = self.lookup(term)
+        if e is None:
+            return None
+        df, pbytes, skips = e
+        return self._decode_term(term, df, pbytes, skips,
+                                 self.idf(self._df_overrides.get(term, df)))
+
+    def _match_mask(self, terms: list[str],
                     require_all: bool = False) -> np.ndarray | None:
-        """Boolean match set of a query (>=1 term by default, every
-        term under ``require_all``) over ``_doc_ids`` positions; None
-        when nothing can match.  A fresh array — callers may mutate."""
-        terms = self.query_terms(query)
-        matched = np.zeros(self._doc_ids.size, dtype=bool)
-        first = True
+        """Boolean match set over ``_doc_ids`` positions: docs holding
+        >=1 of ``terms`` (every term under ``require_all``); None when
+        nothing can match.  A fresh array — callers may mutate."""
+        matched = None
         for t in terms:
-            e = self.lookup(t)
-            if e is None:
+            dec = self._decoded(t)
+            if dec is None:
                 if require_all:
                     return None
                 continue
-            df, pbytes, skips = e
-            # same idf rule as search(): the mask ignores scores, but
-            # the decode CACHES them — using the local df here would
-            # poison the cache for scored searches on a doc-range shard
-            pos, _ = self._decode_term(
-                t, df, pbytes, skips,
-                self.idf(self._df_overrides.get(t, df)))
-            if require_all:
+            pos = dec[0]
+            if matched is None:
+                matched = np.zeros(self._doc_ids.size, dtype=bool)
+                matched[pos] = True
+            elif require_all:
                 tm = np.zeros(self._doc_ids.size, dtype=bool)
-                tm[pos] = True
-                matched = tm if first else (matched & tm)
-                first = False
+                tm[pos] = matched[pos]
+                matched = tm
             else:
                 matched[pos] = True
-                first = False
-        return None if first else matched
+        return matched
+
+    def _gated_match(self, terms: list[str], require_all: bool = False,
+                     must: str | None = None, exclude: str | None = None,
+                     where: tuple | None = None,
+                     where_range: tuple | None = None):
+        """match set & must & exclude & where & where_range, decoded in
+        that order; None when nothing can match (an absent must-term
+        empties the set, as in search)."""
+        matched = self._match_mask(terms, require_all)
+        if matched is None:
+            return None
+        if must:
+            mm = self._must_mask(must)
+            if mm is None:
+                return None
+            matched &= mm
+        if exclude:
+            matched &= self._exclude_mask(exclude)
+        if where is not None:
+            matched &= self.where_mask(*where)
+        if where_range is not None:
+            matched &= self.range_mask(*where_range)
+        return matched
 
     def facet_histogram(self, query: str, col: str, edges,
                         where: tuple | None = None,
@@ -626,24 +654,25 @@ class InvertedIndex:
         bucket ``[edges[i], edges[i+1])`` counting matched documents,
         empty buckets included (the UI contract).  Values outside
         [edges[0], edges[-1]) and docs without a sidecar row are not
-        counted.  Same match set as facet_counts; the binning runs on
-        the column's UNIQUE values (np.digitize over the factorized
-        dictionary), then one lut gather + bincount — O(distinct)
-        compares, never O(n_docs)."""
+        counted.  Same match set as facet_counts."""
         edges = np.asarray(list(edges), dtype=np.float64)
         if edges.size < 2:
             return []
-        matched = self._match_mask(query, require_all)
-        if matched is not None and must:
-            mm = self._must_mask(must)
-            matched = None if mm is None else (matched & mm)
+        return self._bucket_counts(
+            self._gated_match(self.query_terms(query), require_all, must,
+                              exclude, where), col, edges)
+
+    def _bucket_counts(self, matched: np.ndarray | None, col: str,
+                      edges) -> list[tuple]:
+        """[(lo, hi, n_docs)] of a doc mask (None = no doc) over the
+        buckets of ``edges`` (>= 2 of them).  The binning runs on the
+        column's UNIQUE values (np.digitize over the factorized
+        dictionary), then one lut gather + bincount — O(distinct)
+        compares, never O(n_docs)."""
+        edges = np.asarray(edges, dtype=np.float64)
         if matched is None:
             counts = np.zeros(edges.size - 1, dtype=np.int64)
         else:
-            if exclude:
-                matched &= self._exclude_mask(exclude)
-            if where is not None:
-                matched &= self.where_mask(*where)
             codes, uniq = self._load_doc_values(col)
             c = codes[matched]
             c = c[c >= 0]
@@ -799,13 +828,8 @@ class InvertedIndex:
         compose with AND)."""
         if k <= 0:
             return []
-        items = (term_weights.items()
-                 if isinstance(term_weights, dict) else term_weights)
         entries = []
-        for term, w in items:
-            w = float(w)
-            if w == 0.0:
-                continue
+        for term, w in weight_items(term_weights):
             e = self.lookup(term)
             if e is None:
                 continue
@@ -838,60 +862,27 @@ class InvertedIndex:
         a nonzero weight), so this counts the union of those terms'
         postings under the doc-values filters — the with_total dual of
         ``search_weighted``, same decode/tombstone path."""
-        items = (term_weights.items()
-                 if isinstance(term_weights, dict) else term_weights)
-        seen = np.zeros(self._doc_ids.size, dtype=bool)
-        for term, w in items:
-            if float(w) == 0.0:
-                continue
-            e = self.lookup(term)
-            if e is None:
-                continue
-            df, pbytes, skips = e
-            pos, _ = self._decode_term(
-                term, df, pbytes, skips,
-                self.idf(self._df_overrides.get(term, df)))
-            seen[pos] = True
-        if where is not None:
-            seen &= self.where_mask(*where)
-        if where_range is not None:
-            seen &= self.range_mask(*where_range)
-        return int(seen.sum())
+        terms = [t for t, _ in weight_items(term_weights)]
+        matched = self._gated_match(terms, where=where,
+                                    where_range=where_range)
+        return 0 if matched is None else int(matched.sum())
 
     def _must_mask(self, must: str) -> np.ndarray | None:
         """Keep-mask that is True only for documents containing EVERY
         must-term; None when a must-term is absent from the index (the
         boolean-AND empty rule)."""
-        mask = None
-        for t in self.query_terms(must):
-            e = self.lookup(t)
-            if e is None:
-                return None
-            df, pbytes, skips = e
-            pos, _ = self._decode_term(
-                t, df, pbytes, skips,
-                self.idf(self._df_overrides.get(t, df)))
-            tm = np.zeros(self._doc_ids.size, dtype=bool)
-            tm[pos] = True
-            mask = tm if mask is None else (mask & tm)
-        return (np.ones(self._doc_ids.size, dtype=bool)
-                if mask is None else mask)
+        terms = self.query_terms(must)
+        if not terms:
+            return np.ones(self._doc_ids.size, dtype=bool)
+        return self._match_mask(terms, require_all=True)
 
     def _exclude_mask(self, exclude: str) -> np.ndarray:
         """Keep-mask that is False for documents containing ANY of the
         excluded query's terms (decoded through the same score cache —
         positions are what the mask needs; scores along for the ride)."""
-        keep = np.ones(self._doc_ids.size, dtype=bool)
-        for t in self.query_terms(exclude):
-            e = self.lookup(t)
-            if e is None:
-                continue
-            df, pbytes, skips = e
-            pos, _ = self._decode_term(
-                t, df, pbytes, skips,
-                self.idf(self._df_overrides.get(t, df)))
-            keep[pos] = False
-        return keep
+        hit = self._match_mask(self.query_terms(exclude))
+        return np.ones(self._doc_ids.size, dtype=bool) if hit is None \
+            else ~hit
 
     def search_phrase(self, query: str, k: int = 10, slop: int = 0,
                       where: tuple | None = None,
@@ -962,9 +953,7 @@ class InvertedIndex:
         # to <=2x the all-at-once gather (geometric chunk sum).
         cscores = np.zeros(inter.size, dtype=np.float64)
         for t in uniq:
-            df, pbytes, skips = self.lookup(t)
-            idf = self.idf(self._df_overrides.get(t, df))
-            pos, s = self._decode_term(t, df, pbytes, skips, idf)
+            pos, s = self._decoded(t)
             cscores += s[np.searchsorted(pos, inter)]
         order = np.lexsort((inter, -cscores))
         out: list[tuple[int, float]] = []

@@ -29,15 +29,19 @@ shared-state pattern (/root/reference/rust/src/lib.rs:839).  Two tiers:
   (``DocShardedQueryService`` below implements that third layout:
   per-shard top-k over a distributed-IDF exchange, exact merges.)
 
-Per-tier query surface: all three tiers serve search (boolean /
-where / where_range / exclude), facets + histogram facets, suggest,
-and ``snippets_of`` top-k hydration.  ``search_phrase`` runs on
-``QueryService`` (each replica holds the whole positional index,
-query-hash routing for positions-LRU affinity) and
-``DocShardedQueryService`` (phrase matching is a per-doc predicate, so
-per-shard match + global-stats scores merge exactly) — never on the
-term-sharded tier, which would have to ship position runs between
-shards for every multi-term phrase.
+Per-tier query surface: every tier serves search (boolean must /
+exclude / require_all, where / where_range), match_count, weighted
+search + counts, facets + histogram facets, suggest, and url_of /
+snippets_of top-k hydration.  The replica and doc-shard workers expose
+one ``call(name, ...)`` that runs the ``InvertedIndex`` method, which
+owns every parameter list; a service method is a routing line plus
+its merge.  The term-sharded front computes each shape from one
+scatter-gather core (facets: the gated match set, counted on one
+worker per doc range).  ``search_phrase`` runs on ``QueryService``
+and ``DocShardedQueryService`` (phrase matching is a per-doc
+predicate, so per-shard match + global-stats scores merge exactly) —
+never on the term-sharded tier, which would have to ship position
+runs between shards for every multi-term phrase.
 
 The module creates actors only when a service is explicitly
 instantiated — never at import (the driver owns the Ray session).
@@ -45,14 +49,57 @@ instantiated — never at import (the driver owns the Ray session).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 import ray
 
 from engine import index_io
 from engine.config import EngineConfig
-from engine.query import InvertedIndex
-from engine.tokenize import stable_hash64, tokenize
+from engine.query import InvertedIndex, part_of, terms_of, weight_items
+from engine.tokenize import stable_hash64
+
+
+def _route(workers: list, key):
+    """The replica a routing key lands on.  stable_hash64, not builtin
+    ``hash`` (salted per process by PYTHONHASHSEED), so a repeated query
+    reaches the same replica's caches across driver restarts."""
+    h = stable_hash64([repr(key)])[0]
+    return workers[int(h % np.uint64(len(workers)))]
+
+
+def _first_held(parts: list[list]) -> list:
+    """Per position, the first non-None answer across workers that hold
+    disjoint doc sets (at most one of them answers for a doc)."""
+    return [next((a for a in col if a is not None), None)
+            for col in zip(*parts)]
+
+
+def _merge_topk(parts: list[list], k: int) -> list:
+    merged = [hit for p in parts for hit in p]
+    # (score desc, doc_id asc) — same order the local engine uses
+    merged.sort(key=lambda h: (-h[1], h[0]))
+    return merged[:k]
+
+
+def _sum_counts(parts: list[list]) -> list[tuple]:
+    """Facet counts summed over disjoint doc sets, (count desc, value
+    asc) like InvertedIndex.facet_counts."""
+    tot: dict = {}
+    for p in parts:
+        for v, n in p:
+            tot[v] = tot.get(v, 0) + n
+    return sorted(tot.items(), key=lambda t: (-t[1], t[0]))
+
+
+def _sum_buckets(parts: list[list]) -> list[tuple]:
+    """Histogram buckets summed over disjoint doc sets (the buckets are
+    fixed by the edges, so they line up)."""
+    if not parts or not parts[0]:
+        return []
+    return [(lo, hi, sum(p[i][2] for p in parts))
+            for i, (lo, hi, _) in enumerate(parts[0])]
 
 
 @ray.remote
@@ -62,78 +109,17 @@ class QueryWorker:
     def __init__(self, index_dir: str):
         self.idx = InvertedIndex(index_dir)
 
-    def search(self, query: str, k: int = 10, method: str = "bmw",
-               where: tuple | None = None, exclude: str | None = None,
-               must: str | None = None, require_all: bool = False):
-        return self.idx.search(query, k=k, method=method, where=where,
-                               exclude=exclude, must=must,
-                               require_all=require_all)
-
-    def search_many(self, queries: list[str], k: int = 10,
-                    method: str = "bmw", where: tuple | None = None,
-                    exclude: str | None = None,
-                    must: str | None = None, require_all: bool = False):
-        return [self.idx.search(q, k=k, method=method, where=where,
-                                exclude=exclude, must=must,
-                                require_all=require_all)
-                for q in queries]
-
-    def facet_counts(self, query: str, col: str,
-                     where: tuple | None = None,
-                     require_all: bool = False,
-                     must: str | None = None,
-                     exclude: str | None = None):
-        return self.idx.facet_counts(query, col, where=where,
-                                     require_all=require_all,
-                                     must=must, exclude=exclude)
-
-    def facet_histogram(self, query: str, col: str, edges,
-                        where: tuple | None = None,
-                        require_all: bool = False,
-                        must: str | None = None,
-                        exclude: str | None = None):
-        return self.idx.facet_histogram(query, col, edges, where=where,
-                                        require_all=require_all,
-                                        must=must, exclude=exclude)
-
-    def suggest(self, prefix: str, k: int = 10):
-        return self.idx.suggest(prefix, k=k)
-
-    def match_count(self, query: str, where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False):
-        return self.idx.match_count(query, where=where, must=must,
-                                    exclude=exclude,
-                                    require_all=require_all)
-
-    def snippets_of(self, query: str, doc_ids, col: str = "text"):
-        return self.idx.snippets_of(query, doc_ids, col)
-
-    def search_phrase(self, query: str, k: int = 10, slop: int = 0,
-                      where: tuple | None = None,
-                      exclude: str | None = None):
-        return self.idx.search_phrase(query, k=k, slop=slop,
-                                      where=where, exclude=exclude)
-
-    def search_weighted(self, term_weights: dict, k: int = 10,
-                        where: tuple | None = None,
-                        where_range: tuple | None = None):
-        return self.idx.search_weighted(term_weights, k=k, where=where,
-                                        where_range=where_range)
-
-    def match_count_weighted(self, term_weights: dict,
-                             where: tuple | None = None,
-                             where_range: tuple | None = None):
-        return self.idx.match_count_weighted(term_weights, where=where,
-                                             where_range=where_range)
-
-    def url_of(self, doc_ids):
-        return self.idx.url_of(doc_ids)
+    def call(self, name: str, *args, **kwargs):
+        """Run ``InvertedIndex.<name>``: the loader owns every query
+        shape's parameter list, so a replica forwards it untouched."""
+        return getattr(self.idx, name)(*args, **kwargs)
 
 
 class QueryService:
-    """Round-robin front over N warm replicas."""
+    """N warm full replicas.  Every call runs whole on the replica its
+    routing key hashes to (query, weight vector, prefix or id list), so
+    a repeated request reuses that replica's decoded-term and positions
+    caches instead of warming a copy in every replica's budget."""
 
     def __init__(self, index_dir: str, replicas: int = 2,
                  num_cpus: float = 1.0):
@@ -143,110 +129,53 @@ class QueryService:
             for _ in range(replicas)
         ]
         # block until every replica is warm (index loaded)
-        ray.get([w.search.remote("", 1) for w in self.workers])
+        ray.get([w.call.remote("search", "", 1) for w in self.workers])
 
-    def search(self, query: str, k: int = 10, method: str = "bmw",
-               where: tuple | None = None, exclude: str | None = None,
-               must: str | None = None, require_all: bool = False):
-        w = self.workers[hash(query) % len(self.workers)]
-        return ray.get(w.search.remote(query, k, method, where, exclude,
-                                       must, require_all))
+    def _call(self, key, name: str, *args, **kwargs):
+        return ray.get(_route(self.workers, key).call.remote(
+            name, *args, **kwargs))
 
-    def facet_counts(self, query: str, col: str,
-                     where: tuple | None = None,
-                     require_all: bool = False,
-                     must: str | None = None,
-                     exclude: str | None = None):
-        w = self.workers[hash(query) % len(self.workers)]
-        return ray.get(w.facet_counts.remote(query, col, where,
-                                             require_all, must, exclude))
+    def search(self, query: str, k: int = 10, **kwargs):
+        return self._call(query, "search", query, k, **kwargs)
 
-    def facet_histogram(self, query: str, col: str, edges,
-                        where: tuple | None = None,
-                        require_all: bool = False,
-                        must: str | None = None,
-                        exclude: str | None = None):
-        w = self.workers[hash(query) % len(self.workers)]
-        return ray.get(w.facet_histogram.remote(query, col, edges,
-                                                where, require_all,
-                                                must, exclude))
+    def search_phrase(self, query: str, k: int = 10, **kwargs):
+        return self._call(query, "search_phrase", query, k, **kwargs)
+
+    def match_count(self, query: str, **kwargs) -> int:
+        return self._call(query, "match_count", query, **kwargs)
+
+    def facet_counts(self, query: str, col: str, **kwargs):
+        return self._call(query, "facet_counts", query, col, **kwargs)
+
+    def facet_histogram(self, query: str, col: str, edges, **kwargs):
+        return self._call(query, "facet_histogram", query, col,
+                          list(edges), **kwargs)
+
+    def snippets_of(self, query: str, doc_ids, *args, **kwargs):
+        return self._call(query, "snippets_of", query, list(doc_ids),
+                          *args, **kwargs)
 
     def suggest(self, prefix: str, k: int = 10):
-        w = self.workers[hash(prefix) % len(self.workers)]
-        return ray.get(w.suggest.remote(prefix, k))
+        return self._call(prefix, "suggest", prefix, k)
 
-    def match_count(self, query: str, where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False) -> int:
-        """Total hits (hits.total) on one replica."""
-        w = self.workers[hash(query) % len(self.workers)]
-        return ray.get(w.match_count.remote(query, where, must,
-                                            exclude, require_all))
+    def search_weighted(self, term_weights, k: int = 10, **kwargs):
+        items = weight_items(term_weights)
+        return self._call(items, "search_weighted", items, k, **kwargs)
 
-    def snippets_of(self, query: str, doc_ids, col: str = "text"):
-        """Top-k snippet hydration on a replica (every replica holds
-        the whole index; the sidecar read is disk-side, part-pruned)."""
-        w = self.workers[hash(query) % len(self.workers)]
-        return ray.get(w.snippets_of.remote(query, list(doc_ids), col))
-
-    def search_phrase(self, query: str, k: int = 10, slop: int = 0,
-                      where: tuple | None = None,
-                      exclude: str | None = None):
-        """Phrase / proximity top-k on a replica (each replica holds
-        the whole positional index).  Routed by query hash so repeated
-        phrases hit the same replica's positions-blob LRU — phrase
-        working sets are the largest cache class in the engine, and
-        spraying one phrase across replicas would duplicate its blobs
-        in every replica's budget."""
-        w = self.workers[hash(query) % len(self.workers)]
-        return ray.get(w.search_phrase.remote(
-            query, k=k, slop=slop, where=where, exclude=exclude))
-
-    def search_weighted(self, term_weights: dict, k: int = 10,
-                        where: tuple | None = None,
-                        where_range: tuple | None = None):
-        """SPLADE-seam weighted-term top-k on a replica (each holds the
-        whole index; engine/query.py search_weighted semantics,
-        including the doc-values filters).  Routed by the weight
-        VECTOR's hash so a repeated learned-sparse query reuses the
-        same replica's decoded-score cache."""
-        key = tuple(sorted(term_weights.items()))
-        w = self.workers[hash(key) % len(self.workers)]
-        return ray.get(w.search_weighted.remote(dict(term_weights), k,
-                                                where, where_range))
-
-    def match_count_weighted(self, term_weights: dict,
-                             where: tuple | None = None,
-                             where_range: tuple | None = None) -> int:
-        """hits.total for a weighted query (same replica routing as
-        search_weighted so the decoded postings stay cache-hot)."""
-        key = tuple(sorted(term_weights.items()))
-        w = self.workers[hash(key) % len(self.workers)]
-        return ray.get(w.match_count_weighted.remote(
-            dict(term_weights), where, where_range))
+    def match_count_weighted(self, term_weights, **kwargs) -> int:
+        items = weight_items(term_weights)
+        return self._call(items, "match_count_weighted", items, **kwargs)
 
     def url_of(self, doc_ids):
-        """Top-k url hydration on any replica (full docmeta each)."""
         ids = list(doc_ids)
-        w = self.workers[hash(tuple(ids)) % len(self.workers)]
-        return ray.get(w.url_of.remote(ids))
+        return self._call(ids, "url_of", ids)
 
-    def search_many(self, queries: list[str], k: int = 10,
-                    method: str = "bmw", where: tuple | None = None,
-                    exclude: str | None = None,
-                    must: str | None = None, require_all: bool = False):
+    def search_many(self, queries: list[str], k: int = 10, **kwargs):
         """Fan a query batch across replicas; results in input order."""
         n = len(self.workers)
-        shards = [queries[i::n] for i in range(n)]
-        parts = ray.get([w.search_many.remote(s, k, method, where,
-                                              exclude, must, require_all)
-                         for w, s in zip(self.workers, shards) if s])
-        out = [None] * len(queries)
-        for wi, res in enumerate(parts):
-            for j, r in enumerate(res):
-                out[wi + j * n] = r
-        return out
+        return ray.get([self.workers[i % n].call.remote("search", q, k,
+                                                        **kwargs)
+                        for i, q in enumerate(queries)])
 
     def shutdown(self):
         for w in self.workers:
@@ -272,6 +201,14 @@ class ShardWorker:
                  cache_budget_bytes: int = 1 << 30):
         self.idx = InvertedIndex(index_dir, doc_range=doc_range,
                                  cache_budget_bytes=cache_budget_bytes)
+
+    def call(self, name: str, *args, **kwargs):
+        """Run ``InvertedIndex.<name>`` on this worker's loader.  Safe
+        for calls that need no other shard's terms or docs: a whole
+        query whose terms all live here, suggest over this shard's
+        ``parts``, snippets (disk-side sidecar reads) and url_of (None
+        for ids outside this worker's doc range)."""
+        return getattr(self.idx, name)(*args, **kwargs)
 
     def warm(self, parts: list[int]) -> bool:
         for p in parts:
@@ -316,15 +253,6 @@ class ShardWorker:
                 out[t] = None
         return out
 
-    def search(self, query: str, k: int, where: tuple | None = None):
-        """Whole-query top-k on the shard (the single-shard routing
-        fast path): when every query term lives on this shard, the
-        exhaustive-daat accumulate runs HERE and only k rows cross the
-        network instead of the terms' full decoded postings.  daat =
-        the same decode order + float accumulation as the front's
-        scatter-gather, so results stay bit-identical."""
-        return self.idx.search(query, k=k, method="daat", where=where)
-
     def term_doc_ids(self, terms: list[str]) -> dict:
         """term -> int64 doc ids (this worker's doc range), an EMPTY
         int64 array when the term is in the dictionary but has no live
@@ -350,24 +278,17 @@ class ShardWorker:
                 out[t] = np.empty(0, dtype=np.int64)  # empty in range
         return out
 
-    def suggest(self, prefix: str, k: int = 10, parts=None):
-        """Prefix suggestion over THIS shard's dictionary parts only
-        (``parts`` must be the shard's part range: the loader is lazy,
-        so an unrestricted call would page in — and answer for —
-        every other shard's parts too)."""
-        return self.idx.suggest(prefix, k=k, parts=parts)
-
-    def snippets_of(self, query: str, doc_ids, col: str = "text"):
-        """Top-k snippet hydration from ANY term-shard worker: the
-        sidecar read is on-disk and part-pruned by doc_id % D — it
-        neither loads term parts nor touches the worker's doc_range-
-        restricted docmeta (snippets_of never decodes postings)."""
-        return self.idx.snippets_of(query, doc_ids, col)
-
-    def url_of(self, doc_ids):
-        """urls for the ids whose docmeta range THIS worker holds
-        (None otherwise — the front merges across range workers)."""
-        return self.idx.url_of(doc_ids)
+    def facets_of(self, doc_ids, col: str, edges=None) -> list[tuple]:
+        """Facet counts (histogram buckets when ``edges`` is given) of
+        the ids among ``doc_ids`` whose docmeta THIS worker holds — the
+        counting code of InvertedIndex.facet_counts / facet_histogram,
+        fed the front's gated match set instead of a local match."""
+        pos, held = self.idx._held(doc_ids)
+        mask = np.zeros(self.idx._doc_ids.size, dtype=bool)
+        mask[pos[held]] = True
+        if edges is None:
+            return self.idx._value_counts(mask, col)
+        return self.idx._bucket_counts(mask, col, edges)
 
 
 class _Front:
@@ -376,7 +297,13 @@ class _Front:
     list for term-shard si, doc-range ri: a query term is routed to its
     owning term shard and fanned across that shard's doc-range workers;
     the per-range scored fragments are concatenated in ascending-range
-    order, which reproduces the full docID-sorted decode exactly."""
+    order, which reproduces the full docID-sorted decode exactly.
+
+    Every query shape runs on one core: ``_scatter`` fires the scored
+    term fragments (and the gate-term id sets), ``_match`` gathers them
+    into the gated candidate set with its BM25 sums.  search ranks it,
+    match_count counts it, search_weighted re-weights its fragments and
+    the facets count it on one worker per doc range."""
 
     # gate-set cache budget: sorted int64 id arrays of must/exclude
     # terms (8 B/id).  Gate terms repeat across queries (a tenant's
@@ -385,6 +312,8 @@ class _Front:
     # df-sized exchange into a one-time cost — measured at 3.2M docs:
     # exclude-stopword warm p50 240 ms -> ~plain without the refetch.
     GATE_CACHE_BYTES = 256 << 20
+
+    _EMPTY = (np.empty(0, dtype=np.int64), np.empty(0), {})
 
     def __init__(self, cfg: EngineConfig, shards: list):
         self.cfg = cfg
@@ -400,67 +329,47 @@ class _Front:
         # HTTP server (FrontWorker actors are single-threaded, where
         # the lock is uncontended).  Mask building never needs it —
         # gather snapshots set references before any eviction.
-        import threading
         self._gate_cache: dict[str, np.ndarray | None] = {}
         self._gate_cache_bytes = 0
         self._gate_lock = threading.Lock()
 
-    def _terms_of(self, query: str) -> list[str]:
-        seen, out = set(), []
-        for t in tokenize(query, self.cfg.cjk_unigrams):
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        return out
-
     def _shard_of(self, term: str) -> int:
-        from engine.tokenize import HASH_FNS
-        hasher = HASH_FNS[getattr(self.cfg, "term_hash", "sip")]
-        part = int(hasher(np.array([term], dtype=object))[0]
-                   % np.uint64(self.cfg.num_parts))
-        return part % self.n_shards
+        return part_of(term, self.cfg) % self.n_shards
 
-    def _scatter(self, query: str, k: int, where: tuple | None = None,
-                 must: str | None = None, exclude: str | None = None,
-                 require_all: bool = False, no_fast: bool = False):
-        """Submit score_terms futures for one query (no blocking) ->
-        (terms, {(shard, range): future}, gate) or None for empty
-        queries.  ``k`` is threaded explicitly — the HTTP front calls
-        search() concurrently from server threads, so smuggling it
-        through mutable front state would race two requests' k values.
+    def _replica(self, si: int, ri: int):
+        replicas = self.shards[si][ri]
+        return replicas[self._rr % len(replicas)]
 
+    def _scatter(self, terms: list[str], where: tuple | None = None,
+                 where_range: tuple | None = None, must: str | None = None,
+                 exclude: str | None = None, require_all: bool = False):
+        """Submit score_terms futures for distinct ``terms`` (no
+        blocking) -> plan, or None when there is no term.
+
+        ``where`` / ``where_range`` apply SHARD-SIDE: each doc-range
+        worker masks its scored fragments with its own sidecar slice
+        before shipping (per-doc masks commute with per-term
+        accumulation, and selective filters shrink the wire bytes).
         Boolean gates: ``must`` / ``exclude`` terms are routed to their
         OWNING shards for doc-id sets (term_doc_ids — fired together
         with the score futures, no extra round-trip of latency), and
-        the front applies the gate masks before the top-k cut, exactly
+        the gather applies the gate masks before the top-k cut, exactly
         reproducing the local engine's mask-then-_topk order.
         ``require_all`` needs no extra exchange at all: the per-term
         fragments the front already holds say which terms cover each
         candidate."""
-        terms = self._terms_of(query)
         if not terms:
             return None
-        must_terms = self._terms_of(must) if must else []
-        ex_terms = self._terms_of(exclude) if exclude else []
-        gating = bool(must_terms or ex_terms or require_all)
+        must_terms = terms_of(must, self.cfg) if must else []
+        ex_terms = terms_of(exclude, self.cfg) if exclude else []
         by_shard: dict[int, list[str]] = {}
         for t in terms:
             by_shard.setdefault(self._shard_of(t), []).append(t)
         self._rr += 1
-        if (len(by_shard) == 1 and self.n_ranges == 1 and not gating
-                and not no_fast):
-            # single-shard fast path: ship the query, get k rows back
-            # (O(k) network instead of the terms' decoded postings)
-            (si, _ts), = by_shard.items()
-            replicas = self.shards[si][0]
-            return "local", (replicas[self._rr % len(replicas)]
-                             .search.remote(query, k, where)), None
-        futs = {}
-        for si, ts in by_shard.items():
-            for ri in range(self.n_ranges):
-                replicas = self.shards[si][ri]
-                futs[(si, ri)] = (replicas[self._rr % len(replicas)]
-                                  .score_terms.remote(ts, where))
+        futs = {(si, ri): self._replica(si, ri).score_terms.remote(
+                    ts, where, where_range)
+                for si, ts in by_shard.items()
+                for ri in range(self.n_ranges)}
         gate = None
         if must_terms or ex_terms:
             gate_by_shard: dict[int, list[str]] = {}
@@ -470,14 +379,11 @@ class _Front:
                         self._gate_cache[t] = self._gate_cache.pop(t)
                         continue
                 gate_by_shard.setdefault(self._shard_of(t), []).append(t)
-            gfuts = []
-            for si, ts in gate_by_shard.items():
-                for ri in range(self.n_ranges):
-                    replicas = self.shards[si][ri]
-                    gfuts.append((ri, (replicas[self._rr % len(replicas)]
-                                       .term_doc_ids.remote(ts))))
+            gfuts = [(ri, self._replica(si, ri).term_doc_ids.remote(ts))
+                     for si, ts in gate_by_shard.items()
+                     for ri in range(self.n_ranges)]
             gate = (must_terms, ex_terms, gfuts)
-        return terms, futs, (gate, require_all)
+        return terms, futs, gate, require_all
 
     def _cache_gate(self, term: str, ids: "np.ndarray | None") -> None:
         """Insert one gate set under the byte budget (oldest-out LRU;
@@ -500,39 +406,37 @@ class _Front:
             self._gate_cache[term] = ids
             self._gate_cache_bytes += nb
 
-    def _gather(self, plan, k: int, count_only: bool = False):
+    @staticmethod
+    def _fragments(futs: dict) -> dict:
+        """term -> (ids, scores, df): per-range fragments concatenated
+        in ascending doc-range order, which equals the full docID-sorted
+        decode (so float accumulation is bit-identical to the local
+        engine's daat path).  df rides from the term's one owning part,
+        so it is the global df."""
+        keys = sorted(futs, key=lambda sr: sr[1])
+        parts: dict[str, list] = {}
+        for res in ray.get([futs[key] for key in keys]):
+            for t, ent in res.items():
+                if ent is not None:
+                    parts.setdefault(t, []).append(ent)
+        return {t: ents[0] if len(ents) == 1 else
+                (np.concatenate([e[0] for e in ents]),
+                 np.concatenate([e[1] for e in ents]), ents[0][2])
+                for t, ents in parts.items()}
+
+    def _match(self, plan):
+        """Gather a scatter plan -> (ids, scores, fragments): the gated
+        candidate doc ids (sorted), their BM25 sums in the local
+        engine's float order, and each term's fragment."""
         if plan is None:
-            return 0 if count_only else []
-        terms, futs, extras = plan
-        if terms == "local":               # single-shard fast path
-            return ray.get(futs)
-        gate, require_all = extras if extras is not None else (None, False)
-        # fragments per term in ascending doc-range order — concatenated
-        # they equal the full docID-sorted decode, so float accumulation
-        # is bit-identical to the local engine's daat path
-        frags: dict[str, list] = {}
-        if self.n_ranges == 1:             # fast path: no range merge
-            for res in ray.get(list(futs.values())):
-                for t, ent in res.items():
-                    if ent is not None:
-                        frags[t] = [ent]
-        else:
-            keys = sorted(futs.keys(), key=lambda sr: sr[1])
-            for key, res in zip(keys, ray.get([futs[key] for key in keys])):
-                for t, ent in res.items():
-                    if ent is not None:
-                        frags.setdefault(t, []).append(ent)
-        all_ids, all_scores = [], []
-        for t in terms:                    # original query-term order
-            for ent in frags.get(t, ()):
-                all_ids.append(ent[0])
-                all_scores.append(ent[1])
-        if not all_ids:
-            return 0 if count_only else []
-        if require_all and any(t not in frags for t in terms):
-            return 0 if count_only else []  # a query term matched nowhere
-        ids = np.concatenate(all_ids)
-        scores = np.concatenate(all_scores)
+            return self._EMPTY
+        terms, futs, gate, require_all = plan
+        frags = self._fragments(futs)
+        if not frags or (require_all and any(t not in frags
+                                             for t in terms)):
+            return self._EMPTY              # a query term matched nowhere
+        ids = np.concatenate([frags[t][0] for t in terms if t in frags])
+        scores = np.concatenate([frags[t][1] for t in terms if t in frags])
         uniq, inv = np.unique(ids, return_inverse=True)
         # bincount does the same input-order per-bin accumulation as
         # np.add.at (bit-identical float sums) in buffered C — add.at
@@ -542,80 +446,12 @@ class _Front:
         if require_all:
             # each term contributes a doc at most once (ranges are
             # disjoint), so per-candidate fragment count == number of
-            # query terms containing it; scores are re-accumulated in
-            # ascending-df order below (_search_all's float order)
+            # query terms containing it
             keep = np.bincount(inv, minlength=uniq.size) == len(terms)
         if gate is not None:
-            must_terms, ex_terms, gfuts = gate
-            # start from the front's cache (scatter skipped fetching
-            # cached terms), overlay freshly fetched sets
-            _MISS = object()
-            sets: dict[str, "np.ndarray | None"] = {}
-            for t in must_terms + ex_terms:
-                v = self._gate_cache.get(t, _MISS)
-                if v is not _MISS:
-                    sets[t] = v
-            if gfuts:
-                res = ray.get([f for _, f in gfuts])
-                per_term: dict[str, list] = {}
-                absent: set[str] = set()
-                for i in sorted(range(len(gfuts)),
-                                key=lambda j: gfuts[j][0]):  # range order
-                    for t, tids in res[i].items():
-                        if tids is None:
-                            absent.add(t)
-                        else:
-                            per_term.setdefault(t, []).append(tids)
-                for t in absent:
-                    sets[t] = None
-                    self._cache_gate(t, None)
-                for t, frs in per_term.items():
-                    full = frs[0] if len(frs) == 1 else np.concatenate(frs)
-                    sets[t] = full
-                    self._cache_gate(t, full)
-            for t in dict.fromkeys(must_terms + ex_terms):
-                if t not in sets:
-                    # evicted between scatter's cache touch and here
-                    # (concurrent fronts under a tiny budget — rare):
-                    # one synchronous refetch; treating it as absent
-                    # would wrongly EMPTY a must query
-                    si = self._shard_of(t)
-                    parts = ray.get(
-                        [self.shards[si][ri][0].term_doc_ids.remote([t])
-                         for ri in range(self.n_ranges)])
-                    if all(p[t] is None for p in parts):
-                        full = None
-                    else:
-                        frs = [p[t] for p in parts if p[t] is not None]
-                        full = (frs[0] if len(frs) == 1
-                                else np.concatenate(frs))
-                    sets[t] = full
-                    self._cache_gate(t, full)
-
-            def member(sorted_ids: np.ndarray) -> np.ndarray:
-                pos = np.searchsorted(sorted_ids, uniq)
-                safe = np.minimum(pos, sorted_ids.size - 1)
-                return ((pos < sorted_ids.size)
-                        & (sorted_ids[safe] == uniq))
-
-            for t in must_terms:
-                tids = sets.get(t)
-                if tids is None:           # absent must-term empties
-                    return 0 if count_only else []
-                m = (member(tids) if tids.size
-                     else np.zeros(uniq.size, dtype=bool))
-                keep = m if keep is None else (keep & m)
-            for t in ex_terms:
-                tids = sets.get(t)
-                if tids is not None and tids.size:
-                    m = ~member(tids)
-                    keep = m if keep is None else (keep & m)
+            keep = self._gate_keep(gate, uniq, keep)
         if keep is not None:
             uniq, acc = uniq[keep], acc[keep]
-            if uniq.size == 0:
-                return 0 if count_only else []
-        if count_only:
-            return int(uniq.size)
         if require_all:
             # conjunctive scoring sums terms in ascending-df order
             # (stable: query order on equal dfs) — the exact float
@@ -623,51 +459,124 @@ class _Front:
             # bit-identical to the local AND path.  Every survivor is
             # in every term's (possibly filter-masked) fragment, so
             # the sorted gather is exact.
-            order = sorted(range(len(terms)),
-                           key=lambda i: frags[terms[i]][0][2])
             acc = np.zeros(uniq.size, dtype=np.float64)
-            for i in order:
-                ents = frags[terms[i]]
-                t_ids = (ents[0][0] if len(ents) == 1
-                         else np.concatenate([e[0] for e in ents]))
-                t_s = (ents[0][1] if len(ents) == 1
-                       else np.concatenate([e[1] for e in ents]))
+            for t in sorted(terms, key=lambda t: frags[t][2]):
+                t_ids, t_s, _ = frags[t]
                 acc += t_s[np.searchsorted(t_ids, uniq)]
+        return uniq, acc, frags
+
+    def _gate_keep(self, gate, uniq: np.ndarray, keep):
+        """AND the must / exclude gates of ``gate`` into ``keep`` (None
+        = keep all) over the candidate ids ``uniq``."""
+        must_terms, ex_terms, gfuts = gate
+        # start from the front's cache (scatter skipped fetching
+        # cached terms), overlay freshly fetched sets
+        _MISS = object()
+        sets: dict[str, "np.ndarray | None"] = {}
+        for t in must_terms + ex_terms:
+            v = self._gate_cache.get(t, _MISS)
+            if v is not _MISS:
+                sets[t] = v
+        if gfuts:
+            res = ray.get([f for _, f in gfuts])
+            per_term: dict[str, list] = {}
+            absent: set[str] = set()
+            for i in sorted(range(len(gfuts)),
+                            key=lambda j: gfuts[j][0]):  # range order
+                for t, tids in res[i].items():
+                    if tids is None:
+                        absent.add(t)
+                    else:
+                        per_term.setdefault(t, []).append(tids)
+            for t in absent:
+                sets[t] = None
+                self._cache_gate(t, None)
+            for t, frs in per_term.items():
+                full = frs[0] if len(frs) == 1 else np.concatenate(frs)
+                sets[t] = full
+                self._cache_gate(t, full)
+        for t in dict.fromkeys(must_terms + ex_terms):
+            if t not in sets:
+                # evicted between scatter's cache touch and here
+                # (concurrent fronts under a tiny budget — rare):
+                # one synchronous refetch; treating it as absent
+                # would wrongly EMPTY a must query
+                si = self._shard_of(t)
+                parts = ray.get(
+                    [self.shards[si][ri][0].term_doc_ids.remote([t])
+                     for ri in range(self.n_ranges)])
+                if all(p[t] is None for p in parts):
+                    full = None
+                else:
+                    frs = [p[t] for p in parts if p[t] is not None]
+                    full = (frs[0] if len(frs) == 1
+                            else np.concatenate(frs))
+                sets[t] = full
+                self._cache_gate(t, full)
+
+        def member(sorted_ids: np.ndarray) -> np.ndarray:
+            pos = np.searchsorted(sorted_ids, uniq)
+            safe = np.minimum(pos, sorted_ids.size - 1)
+            return ((pos < sorted_ids.size)
+                    & (sorted_ids[safe] == uniq))
+
+        for t in must_terms:
+            tids = sets.get(t)
+            if tids is None:               # absent must-term empties
+                return np.zeros(uniq.size, dtype=bool)
+            m = (member(tids) if tids.size
+                 else np.zeros(uniq.size, dtype=bool))
+            keep = m if keep is None else (keep & m)
+        for t in ex_terms:
+            tids = sets.get(t)
+            if tids is not None and tids.size:
+                m = ~member(tids)
+                keep = m if keep is None else (keep & m)
+        return keep
+
+    def _submit(self, query: str, k: int, where: tuple | None = None,
+                where_range: tuple | None = None, **gates):
+        """Start one search -> a plan, or a whole-query future when
+        every term lives on one shard and nothing gates: the single-
+        shard fast path ships the query and gets k rows back (O(k)
+        network instead of the terms' decoded postings); daat there is
+        the same decode order + float accumulation as the gather, so
+        results stay bit-identical."""
+        terms = terms_of(query, self.cfg)
+        shards = {self._shard_of(t) for t in terms}
+        if len(shards) == 1 and self.n_ranges == 1 and not any(
+                gates.values()):
+            self._rr += 1
+            return self._replica(shards.pop(), 0).call.remote(
+                "search", query, k, method="daat", where=where,
+                where_range=where_range)
+        return self._scatter(terms, where, where_range, **gates)
+
+    def _finish(self, plan, k: int):
+        if isinstance(plan, ray.ObjectRef):
+            return ray.get(plan)
+        uniq, acc, _ = self._match(plan)
         return InvertedIndex._topk(uniq, acc, k)
 
-    def search(self, query: str, k: int = 10,
-               where: tuple | None = None, must: str | None = None,
-               exclude: str | None = None, require_all: bool = False):
+    def search(self, query: str, k: int = 10, **clauses):
         if k <= 0:
             return []
-        return self._gather(self._scatter(query, k, where, must,
-                                          exclude, require_all), k)
+        return self._finish(self._submit(query, k, **clauses), k)
 
-    def match_count(self, query: str, where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False) -> int:
-        """Total hits under the full clause set (hits.total): the
-        same scatter the search path uses (fast path bypassed — a
-        worker's k-row answer cannot yield a count), counting the gated
-        candidate set instead of scoring it."""
-        plan = self._scatter(query, 1, where, must, exclude,
-                             require_all, no_fast=True)
-        return self._gather(plan, 1, count_only=True)
-
-    def search_many(self, queries: list[str], k: int = 10,
-                    where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False):
+    def search_many(self, queries: list[str], k: int = 10, **clauses):
         """Pipelined scatter-gather: every query's shard futures are in
         flight before the first gather, so shard work for query i+1
         overlaps the front's accumulate for query i."""
         if k <= 0:
             return [[] for _ in queries]
-        plans = [self._scatter(q, k, where, must, exclude, require_all)
-                 for q in queries]
-        return [self._gather(p, k) for p in plans]
+        plans = [self._submit(q, k, **clauses) for q in queries]
+        return [self._finish(p, k) for p in plans]
+
+    def match_count(self, query: str, **clauses) -> int:
+        """Total hits under the full clause set (hits.total): the
+        gated candidate set search() scores, counted."""
+        plan = self._scatter(terms_of(query, self.cfg), **clauses)
+        return int(self._match(plan)[0].size)
 
     def search_weighted(self, term_weights, k: int = 10,
                         where: tuple | None = None,
@@ -676,66 +585,25 @@ class _Front:
         term-sharded tier — the tier this retrieval shape is MADE for:
         a sparse learned query names many terms, and each term's whole
         posting list lives on exactly one shard, so scoring stays
-        shard-side and only scored fragments cross the wire (the same
-        cost class as an ordinary disjunctive query).
+        shard-side and only scored fragments cross the wire.
 
         Weight keys are routed VERBATIM to their owning shards (callers
         supply already-analyzed terms — no tokenize, the learned-sparse
         contract).  The front accumulates ``w * score`` per candidate
         walking matched entries in ascending (df, term) order with
         duplicate input terms kept as separate entries in input order —
-        exactly ``InvertedIndex.search_weighted``'s float order (a
-        term's one part holds ALL its postings, so the shard's df IS
-        the global df), so the merged top-k is bit-identical to one
-        local index.  ``where`` / ``where_range`` (doc-values filters)
-        apply shard-side via score_terms' pre-masking — per-doc masks
-        commute with per-term accumulation, so filtered results equal
-        the local engine's accumulate-then-mask float-for-float."""
+        exactly ``InvertedIndex.search_weighted``'s float order, so the
+        merged top-k is bit-identical to one local index."""
         if k <= 0:
             return []
-        items = (term_weights.items()
-                 if isinstance(term_weights, dict) else term_weights)
-        wanted = []                       # (term, w), zero weights out
-        for t, w in items:
-            w = float(w)
-            if w != 0.0:
-                wanted.append((str(t), w))
-        if not wanted:
-            return []
-        by_shard: dict[int, list[str]] = {}
-        for t in dict.fromkeys(t for t, _ in wanted):
-            by_shard.setdefault(self._shard_of(t), []).append(t)
-        self._rr += 1
-        futs = {}
-        for si, ts in by_shard.items():
-            for ri in range(self.n_ranges):
-                replicas = self.shards[si][ri]
-                futs[(si, ri)] = (replicas[self._rr % len(replicas)]
-                                  .score_terms.remote(ts, where,
-                                                      where_range))
-        # per-term fragments in ascending doc-range order — concatenated
-        # they equal the full docID-sorted decode (the _gather rule)
-        frags: dict[str, list] = {}
-        keys = sorted(futs.keys(), key=lambda sr: sr[1])
-        for key, res in zip(keys, ray.get([futs[key] for key in keys])):
-            for t, ent in res.items():
-                if ent is not None:
-                    frags.setdefault(t, []).append(ent)
-        merged: dict[str, tuple] = {}
-        for t, ents in frags.items():
-            ids = (ents[0][0] if len(ents) == 1
-                   else np.concatenate([e[0] for e in ents]))
-            s = (ents[0][1] if len(ents) == 1
-                 else np.concatenate([e[1] for e in ents]))
-            merged[t] = (ids, s, ents[0][2])   # df rides from the shard
-        entries = [(merged[t][2], t, w) + merged[t][:2]
-                   for t, w in wanted if t in merged]
-        if not entries:
-            return []
-        entries.sort(key=lambda e: (e[0], e[1]))   # df asc, term; stable
-        uniq = np.unique(np.concatenate([e[3] for e in entries]))
+        items = weight_items(term_weights)
+        uniq, _, frags = self._match(self._scatter(
+            list(dict.fromkeys(t for t, _ in items)), where, where_range))
+        entries = sorted(((frags[t][2], t, w) for t, w in items
+                          if t in frags), key=lambda e: e[:2])
         acc = np.zeros(uniq.size, dtype=np.float64)
-        for df, t, w, ids, s in entries:
+        for _, t, w in entries:
+            ids, s, _ = frags[t]
             # ids are unique within a term (disjoint ranges), so the
             # fancy-index add applies each contribution exactly once,
             # per doc in the same order the local dense walk does
@@ -745,30 +613,30 @@ class _Front:
     def match_count_weighted(self, term_weights,
                              where: tuple | None = None,
                              where_range: tuple | None = None) -> int:
-        """hits.total for a weighted query on the term-sharded tier:
-        the same shard-side (filter-pre-masked) fragment gather as
-        search_weighted, counted instead of scored."""
-        items = (term_weights.items()
-                 if isinstance(term_weights, dict) else term_weights)
-        terms = list(dict.fromkeys(
-            str(t) for t, w in items if float(w) != 0.0))
-        if not terms:
-            return 0
-        by_shard: dict[int, list[str]] = {}
-        for t in terms:
-            by_shard.setdefault(self._shard_of(t), []).append(t)
-        self._rr += 1
-        futs = []
-        for si, ts in by_shard.items():
-            for ri in range(self.n_ranges):
-                replicas = self.shards[si][ri]
-                futs.append(replicas[self._rr % len(replicas)]
-                            .score_terms.remote(ts, where, where_range))
-        ids = [ent[0] for res in ray.get(futs)
-               for ent in res.values() if ent is not None]
-        if not ids:
-            return 0
-        return int(np.unique(np.concatenate(ids)).size)
+        keys = list(dict.fromkeys(t for t, _ in weight_items(term_weights)))
+        return int(self._match(self._scatter(keys, where,
+                                             where_range))[0].size)
+
+    def facet_counts(self, query: str, col: str, **gates):
+        return _sum_counts(self._facets(query, col, None, **gates))
+
+    def facet_histogram(self, query: str, col: str, edges, **gates):
+        edges = [float(e) for e in edges]
+        if len(edges) < 2:
+            return []
+        return _sum_buckets(self._facets(query, col, edges, **gates))
+
+    def _facets(self, query: str, col: str, edges, where=None,
+                require_all=False, must=None, exclude=None) -> list:
+        """Per-doc-range facet parts: the scatter match_count uses gives
+        the gated match set, and one worker per doc range counts the
+        matched docs it holds from its own sidecar slice."""
+        ids = self._match(self._scatter(terms_of(query, self.cfg), where,
+                                        None, must, exclude,
+                                        require_all))[0]
+        si = self._rr % self.n_shards
+        return ray.get([self._replica(si, ri).facets_of.remote(
+            ids, col, edges) for ri in range(self.n_ranges)])
 
 
 @ray.remote
@@ -781,20 +649,16 @@ class FrontWorker:
     def __init__(self, cfg_dict: dict, shards: list):
         self.front = _Front(EngineConfig.from_dict(cfg_dict), shards)
 
-    def search_many(self, queries: list[str], k: int = 10,
-                    where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False):
-        return self.front.search_many(queries, k, where, must,
-                                      exclude, require_all)
+    def search_many(self, queries: list[str], k: int = 10, **clauses):
+        return self.front.search_many(queries, k, **clauses)
 
 
 class ShardedQueryService:
     """Scatter-gather over part-range shards (optionally replicated per
     shard, optionally with an actor pool of fronts).  Results are
     bit-identical to a local ``InvertedIndex.search(..., method="daat")``
-    — every front reproduces its exact accumulation order."""
+    — every front reproduces its exact accumulation order (see _Front;
+    clauses: where / where_range / must / exclude / require_all)."""
 
     def __init__(self, index_dir: str, n_shards: int = 2,
                  replicas_per_shard: int = 1, n_fronts: int = 0,
@@ -850,37 +714,17 @@ class ShardedQueryService:
             for _ in range(n_fronts)
         ]
 
-    def search(self, query: str, k: int = 10,
-               where: tuple | None = None, must: str | None = None,
-               exclude: str | None = None, require_all: bool = False):
-        """``where=(col, values)`` is applied SHARD-SIDE: each
-        doc-range worker masks its scored fragments with its own
-        sidecar slice before shipping, so filtered results stay
-        bit-identical to local daat-with-mask and selective filters
-        shrink the wire bytes.  ``must`` / ``exclude`` terms live on
-        their OWNING shards, so the front fetches their doc-id sets
-        from there (term_doc_ids, fired with the score futures) and
-        gates candidates before the top-k cut; ``require_all`` gates
-        from the fragments already in hand and re-accumulates in the
-        local AND path's ascending-df float order — all three stay
-        bit-identical to the local engine."""
-        return self._local.search(query, k, where, must, exclude,
-                                  require_all)
+    def search(self, query: str, k: int = 10, **clauses):
+        return self._local.search(query, k, **clauses)
 
-    def search_many(self, queries: list[str], k: int = 10,
-                    where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False):
+    def search_many(self, queries: list[str], k: int = 10, **clauses):
         """With fronts: interleave the batch across the front pool
         (results in input order); without: local pipelined front."""
         if not self.fronts:
-            return self._local.search_many(queries, k, where, must,
-                                           exclude, require_all)
+            return self._local.search_many(queries, k, **clauses)
         n = len(self.fronts)
         batches = [queries[i::n] for i in range(n)]
-        parts = ray.get([f.search_many.remote(b, k, where, must,
-                                              exclude, require_all)
+        parts = ray.get([f.search_many.remote(b, k, **clauses)
                          for f, b in zip(self.fronts, batches) if b])
         out = [None] * len(queries)
         for fi, res in enumerate(parts):
@@ -888,23 +732,20 @@ class ShardedQueryService:
                 out[fi + j * n] = r
         return out
 
-    def search_weighted(self, term_weights, k: int = 10,
-                        where: tuple | None = None,
-                        where_range: tuple | None = None):
-        """Weighted-term (learned-sparse / SPLADE-seam) top-k: weight
-        keys route verbatim to their owning term shards, scoring stays
-        shard-side, the front's ascending-(df, term) accumulation is
-        bit-identical to ``InvertedIndex.search_weighted`` on one
-        global index (see _Front.search_weighted); doc-values filters
-        pre-mask shard-side."""
-        return self._local.search_weighted(term_weights, k, where,
-                                           where_range)
+    def match_count(self, query: str, **clauses) -> int:
+        return self._local.match_count(query, **clauses)
 
-    def match_count_weighted(self, term_weights,
-                             where: tuple | None = None,
-                             where_range: tuple | None = None) -> int:
-        return self._local.match_count_weighted(term_weights, where,
-                                                where_range)
+    def search_weighted(self, term_weights, k: int = 10, **filters):
+        return self._local.search_weighted(term_weights, k, **filters)
+
+    def match_count_weighted(self, term_weights, **filters) -> int:
+        return self._local.match_count_weighted(term_weights, **filters)
+
+    def facet_counts(self, query: str, col: str, **gates):
+        return self._local.facet_counts(query, col, **gates)
+
+    def facet_histogram(self, query: str, col: str, edges, **gates):
+        return self._local.facet_histogram(query, col, edges, **gates)
 
     def suggest(self, prefix: str, k: int = 10):
         """Distributed prefix suggestion on the term-sharded tier.
@@ -916,28 +757,19 @@ class ShardedQueryService:
         doc-range workers; one replica per shard answers."""
         if k <= 0 or not prefix:
             return []
-        futs = [ranges[0][0].suggest.remote(prefix, k,
-                                            self._shard_parts[si])
+        futs = [ranges[0][0].call.remote("suggest", prefix, k,
+                                         self._shard_parts[si])
                 for si, ranges in enumerate(self.shards)]
         cand = [r for p in ray.get(futs) for r in p]
         cand.sort(key=lambda t: (-t[1], t[0]))
         return cand[:k]
 
-    def match_count(self, query: str, where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False) -> int:
-        """Total hits via the front's count-only gather (exact: the
-        gated candidate set is the same one search() scores)."""
-        return self._local.match_count(query, where, must, exclude,
-                                       require_all)
-
-    def snippets_of(self, query: str, doc_ids, col: str = "text"):
+    def snippets_of(self, query: str, doc_ids, *args, **kwargs):
         """Top-k snippet hydration: routed to ONE worker (the sidecar
         read is disk-side and independent of the worker's term-part /
         doc-range residency), so only the k window strings move."""
-        w = self.shards[0][0][0]
-        return ray.get(w.snippets_of.remote(query, list(doc_ids), col))
+        return ray.get(self.shards[0][0][0].call.remote(
+            "snippets_of", query, list(doc_ids), *args, **kwargs))
 
     def url_of(self, doc_ids):
         """Top-k url hydration: shard 0's doc-range workers tile the id
@@ -945,10 +777,8 @@ class ShardedQueryService:
         first non-None per position is exact (with n_doc_ranges=1 it is
         a single call).  Only k urls move."""
         ids = list(doc_ids)
-        group = [replicas[0] for replicas in self.shards[0]]
-        parts = ray.get([w.url_of.remote(ids) for w in group])
-        return [next((p[i] for p in parts if p[i] is not None), None)
-                for i in range(len(ids))]
+        return _first_held(ray.get([replicas[0].call.remote("url_of", ids)
+                                    for replicas in self.shards[0]]))
 
     def docmeta_rows_per_worker(self) -> list[int]:
         """Resident docmeta rows of every shard worker (memory probe)."""
@@ -988,118 +818,17 @@ class DocShardWorker:
         if n_docs is not None:
             self.idx.set_global_stats(int(n_docs), float(avgdl))
 
-    def local_stats(self) -> tuple[int, int]:
-        st = self.idx.manifest["stats"]
-        return int(st["n_docs"]), int(st["total_tokens"])
-
-    def set_global_stats(self, n_docs: int, avgdl: float) -> bool:
-        self.idx.set_global_stats(n_docs, avgdl)
-        return True
+    def call(self, name: str, dfs: dict[str, int] | None, *args,
+             **kwargs):
+        """Run ``InvertedIndex.<name>`` among THIS shard's docs after
+        merging the front's GLOBAL per-term dfs (None for calls that
+        score nothing), so every score equals one global index's."""
+        if dfs:
+            self.idx.add_df_overrides(dfs)
+        return getattr(self.idx, name)(*args, **kwargs)
 
     def term_dfs(self, terms: list[str]) -> dict[str, int]:
         return {t: self.idx.df_of(t) for t in terms}
-
-    def search_topk(self, query: str, k: int, dfs: dict[str, int],
-                    method: str = "bmw", where: tuple | None = None,
-                    exclude: str | None = None,
-                    must: str | None = None, require_all: bool = False):
-        """must / exclude / require_all are per-doc predicates over
-        postings THIS shard owns whole, so shard-local gating merges
-        exactly; a must-term with no postings here empties only this
-        shard's answer, which IS the correct per-doc semantics (none of
-        its docs can contain the term)."""
-        self.idx.add_df_overrides(dfs)
-        return self.idx.search(query, k=k, method=method, where=where,
-                               exclude=exclude, must=must,
-                               require_all=require_all)
-
-    def search_phrase_topk(self, query: str, k: int, dfs: dict[str, int],
-                           slop: int = 0, where: tuple | None = None,
-                           exclude: str | None = None):
-        self.idx.add_df_overrides(dfs)
-        return self.idx.search_phrase(query, k=k, slop=slop, where=where,
-                                      exclude=exclude)
-
-    def facet_counts(self, query: str, col: str, dfs: dict[str, int],
-                     where: tuple | None = None,
-                     require_all: bool = False,
-                     must: str | None = None,
-                     exclude: str | None = None):
-        self.idx.add_df_overrides(dfs)
-        return self.idx.facet_counts(query, col, where=where,
-                                     require_all=require_all,
-                                     must=must, exclude=exclude)
-
-    def facet_histogram(self, query: str, col: str, edges,
-                        dfs: dict[str, int],
-                        where: tuple | None = None,
-                        require_all: bool = False,
-                        must: str | None = None,
-                        exclude: str | None = None):
-        self.idx.add_df_overrides(dfs)
-        return self.idx.facet_histogram(query, col, edges, where=where,
-                                        require_all=require_all,
-                                        must=must, exclude=exclude)
-
-    def search_weighted_topk(self, term_weights: dict, k: int,
-                             dfs: dict[str, int],
-                             where: tuple | None = None,
-                             where_range: tuple | None = None):
-        """Weighted-term top-k among THIS shard's docs under the global
-        df overrides — search_weighted accumulates in ascending
-        OVERRIDDEN-df order, so per-doc sums are bit-identical to one
-        global index and the front's merge is exact.  The doc-values
-        filters are per-doc predicates over the shard's own sidecars,
-        so they commute with doc sharding."""
-        self.idx.add_df_overrides(dfs)
-        return self.idx.search_weighted(term_weights, k=k, where=where,
-                                        where_range=where_range)
-
-    def match_count_weighted(self, term_weights: dict,
-                             where: tuple | None = None,
-                             where_range: tuple | None = None):
-        """Membership needs no df exchange at all — counts are summed
-        across disjoint shards."""
-        return self.idx.match_count_weighted(term_weights, where=where,
-                                             where_range=where_range)
-
-    def match_count(self, query: str, dfs: dict[str, int],
-                    where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False):
-        """Hits among THIS shard's docs (df overrides keep the decode
-        cache's scores global-stats-consistent, same as facet_counts)."""
-        self.idx.add_df_overrides(dfs)
-        return self.idx.match_count(query, where=where, must=must,
-                                    exclude=exclude,
-                                    require_all=require_all)
-
-    def snippets_of(self, query: str, doc_ids, col: str = "text"):
-        """Windows for the docs THIS shard owns (others hydrate None —
-        each doc lives whole on one shard, so the front's first-non-None
-        merge is exact).  Only window strings leave the shard."""
-        return self.idx.snippets_of(query, doc_ids, col)
-
-    def url_of(self, doc_ids):
-        """urls for the docs THIS shard owns (None otherwise)."""
-        return self.idx.url_of(doc_ids)
-
-    def suggest_all(self, prefix: str):
-        """EVERY prefixed term with its local df (the exhaustive
-        fallback merge; the front's default is the threshold algorithm
-        below)."""
-        return self.idx.suggest(prefix, k=1 << 62)
-
-    def suggest_top(self, prefix: str, m: int):
-        """Local top-m prefixed terms plus the REMAINDER BOUND: the
-        (m+1)th df if more terms exist (every unreturned term's df is
-        <= it — the list is df-desc sorted), else 0 with exhausted=True.
-        The threshold-algorithm front needs exactly this triple."""
-        rows = self.idx.suggest(prefix, k=m + 1)
-        if len(rows) > m:
-            return rows[:m], int(rows[m][1]), False
-        return rows, 0, True
 
 
 class DocShardedQueryService:
@@ -1121,8 +850,17 @@ class DocShardedQueryService:
     ulp-level difference local bmw-vs-daat shows), ranks identical up
     to genuinely tied floats.
 
+    Every other clause is a per-doc predicate over docs each shard
+    owns whole (where / where_range sidecars, must / exclude /
+    require_all postings, phrase matching), so shard-local gating
+    merges exactly: top-k lists merge, counts and facet buckets sum,
+    and hydration takes the one shard that answers per doc.  The
+    conjunctive and weighted paths sum terms in ascending OVERRIDDEN
+    (global) df order, so they stay bit-identical too.
+
     Requirement: the doc partitioner must be doc-consistent (e.g.
     hash64(url) % S) so a url's duplicates dedup within one shard.
+    Doc-values filters need attach_doc_values per SHARD index.
     """
 
     def __init__(self, index_dirs: list[str], num_cpus: float = 0.5,
@@ -1141,7 +879,7 @@ class DocShardedQueryService:
             DocShardWorker.options(num_cpus=num_cpus, max_restarts=4,
                                    max_task_retries=2)
             .remote(d, self.n_docs, self.avgdl) for d in index_dirs]
-        ray.get([w.local_stats.remote() for w in self.workers])  # warm
+        ray.get(self._submit("search", None, "", 1))  # warm
         self.cfg = EngineConfig.from_dict(
             index_io.load_manifest(index_dirs[0])["config"])
         # bounded LRU (dict insertion order): the front's global-df
@@ -1152,14 +890,6 @@ class DocShardedQueryService:
         self.df_cache_max_terms = 1_000_000
         # ops probe: wire rows + rounds of the latest TA suggest call
         self.last_suggest_stats: dict = {}
-
-    def _terms_of(self, query: str) -> list[str]:
-        seen, out = set(), []
-        for t in tokenize(query, self.cfg.cjk_unigrams):
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-        return out
 
     def _global_dfs(self, terms: list[str]) -> dict[str, int]:
         missing = [t for t in terms if t not in self._df_cache]
@@ -1182,156 +912,85 @@ class DocShardedQueryService:
             self._df_cache.pop(next(iter(self._df_cache)))
         return out
 
-    def _scatter(self, query: str, k: int, where: tuple | None = None,
-                 exclude: str | None = None, must: str | None = None,
-                 require_all: bool = False):
-        terms = self._terms_of(query)
-        if not terms:
-            return None
-        # exclusion/must terms need GLOBAL dfs too? No — both are
-        # membership masks, df-independent; only scored terms exchange.
-        dfs = self._global_dfs(terms)
-        return [w.search_topk.remote(query, k, dfs, self.method, where,
-                                     exclude, must, require_all)
+    def _dfs(self, query: str) -> dict[str, int]:
+        # must / exclude terms are membership masks, df-independent:
+        # only scored terms exchange
+        return self._global_dfs(terms_of(query, self.cfg))
+
+    def _submit(self, name: str, dfs, *args, **kwargs) -> list:
+        return [w.call.remote(name, dfs, *args, **kwargs)
                 for w in self.workers]
 
-    @staticmethod
-    def _merge(parts, k: int):
-        merged = [hit for p in parts for hit in p]
-        # (score desc, doc_id asc) — same order the local engine uses
-        merged.sort(key=lambda h: (-h[1], h[0]))
-        return merged[:k]
+    def _fan(self, name: str, dfs, *args, **kwargs) -> list:
+        return ray.get(self._submit(name, dfs, *args, **kwargs))
 
-    def search(self, query: str, k: int = 10,
-               where: tuple | None = None, exclude: str | None = None,
-               must: str | None = None, require_all: bool = False):
-        """``where=(col, values)`` filters on each shard's doc-values
-        sidecar (attach_doc_values must have run per SHARD index — the
-        shards are independent indexes).  Per-doc filters compose
-        exactly with doc sharding: every doc lives whole on one shard,
-        so filtered per-shard top-k merges are exact, same as phrases.
-        ``must`` / ``exclude`` / ``require_all`` are per-doc predicates
-        gated shard-locally with the same exactness; conjunctive scores
-        stay bit-identical to one global index because _search_all
-        sums in overridden-(global-)df order under the stats
-        exchange."""
+    def search(self, query: str, k: int = 10, **clauses):
         if k <= 0:
             return []
-        futs = self._scatter(query, k, where, exclude, must, require_all)
-        return [] if futs is None else self._merge(ray.get(futs), k)
+        return _merge_topk(self._fan("search", self._dfs(query), query, k,
+                                     method=self.method, **clauses), k)
 
-    def search_weighted(self, term_weights: dict, k: int = 10,
-                        where: tuple | None = None,
-                        where_range: tuple | None = None):
-        """Distributed weighted-term (SPLADE-seam) top-k: the scored
-        terms are the weight keys VERBATIM (callers supply
-        already-analyzed terms, the learned-sparse contract), so the
-        global-df exchange runs over them directly — no tokenize.
-        Per-shard scores are bit-identical to one global index (the
-        ascending-overridden-df accumulation rule) and the doc-values
-        filters are per-doc predicates, so the O(S x k) merge is
-        exact."""
+    def search_many(self, queries: list[str], k: int = 10, **clauses):
+        """Pipelined: all queries' per-shard top-k futures are in flight
+        before the first merge (merges touch only shards x k rows)."""
+        if k <= 0:
+            return [[] for _ in queries]
+        plans = [self._submit("search", self._dfs(q), q, k,
+                              method=self.method, **clauses)
+                 for q in queries]
+        return [_merge_topk(ray.get(p), k) for p in plans]
+
+    def search_phrase(self, query: str, k: int = 10, **kwargs):
+        """Distributed phrase / proximity top-k (positional shard
+        indexes only).  Phrase matching is a PER-DOCUMENT predicate and
+        every doc lives whole on one shard, so scattering the phrase
+        and merging per-shard top-k is exact — the reason real engines
+        shard by document, not by term: a term-sharded layout would
+        have to ship position runs between shards for every multi-term
+        phrase."""
         if k <= 0:
             return []
-        terms = sorted(term_weights)
-        if not terms:
+        return _merge_topk(self._fan("search_phrase", self._dfs(query),
+                                     query, k, **kwargs), k)
+
+    def search_weighted(self, term_weights, k: int = 10, **filters):
+        """Weighted-term (SPLADE-seam) top-k: the weight keys are the
+        scored terms VERBATIM (callers supply already-analyzed terms,
+        the learned-sparse contract), so the global-df exchange runs
+        over them directly — no tokenize."""
+        if k <= 0:
             return []
-        dfs = self._global_dfs(terms)
-        futs = [w.search_weighted_topk.remote(dict(term_weights), k, dfs,
-                                              where, where_range)
-                for w in self.workers]
-        return self._merge(ray.get(futs), k)
+        items = weight_items(term_weights)
+        dfs = self._global_dfs(list(dict.fromkeys(t for t, _ in items)))
+        return _merge_topk(self._fan("search_weighted", dfs, items, k,
+                                     **filters), k)
 
-    def match_count_weighted(self, term_weights: dict,
-                             where: tuple | None = None,
-                             where_range: tuple | None = None) -> int:
-        """hits.total: per-shard membership counts sum exactly (doc
-        spaces are disjoint; membership needs no df exchange)."""
-        return sum(ray.get([w.match_count_weighted.remote(
-            dict(term_weights), where, where_range)
-            for w in self.workers]))
+    def match_count_weighted(self, term_weights, **filters) -> int:
+        return sum(self._fan("match_count_weighted", None,
+                             weight_items(term_weights), **filters))
 
-    def facet_counts(self, query: str, col: str,
-                     where: tuple | None = None,
-                     require_all: bool = False,
-                     must: str | None = None,
-                     exclude: str | None = None):
-        """Distributed facet aggregation: shards count locally over
-        their disjoint doc ranges, the front sums per value — exact
-        (counts are additive over a doc partition; must/exclude are
-        per-doc predicates gated shard-locally), O(S x n_values)
-        network."""
-        terms = self._terms_of(query)
-        if not terms:
-            return []
-        dfs = self._global_dfs(terms)
-        parts = ray.get([w.facet_counts.remote(query, col, dfs, where,
-                                               require_all, must, exclude)
-                         for w in self.workers])
-        tot: dict = {}
-        for p in parts:
-            for v, n in p:
-                tot[v] = tot.get(v, 0) + n
-        return sorted(tot.items(), key=lambda t: (-t[1], t[0]))
+    def match_count(self, query: str, **clauses) -> int:
+        # df overrides keep each shard's decode cache global-stats-
+        # consistent for the scored searches that follow
+        return sum(self._fan("match_count", self._dfs(query), query,
+                             **clauses))
 
-    def facet_histogram(self, query: str, col: str, edges,
-                        where: tuple | None = None,
-                        require_all: bool = False,
-                        must: str | None = None,
-                        exclude: str | None = None):
-        """Distributed histogram facet: per-shard bucket counts sum
-        exactly (buckets are fixed, shards partition docs)."""
-        terms = self._terms_of(query)
-        if not terms:
-            return []
-        dfs = self._global_dfs(terms)
-        parts = ray.get([w.facet_histogram.remote(query, col, list(edges),
-                                                  dfs, where, require_all,
-                                                  must, exclude)
-                         for w in self.workers])
-        if not parts or not parts[0]:
-            return []
-        out = [list(b) for b in parts[0]]
-        for p in parts[1:]:
-            for i, (_, _, n) in enumerate(p):
-                out[i][2] += n
-        return [tuple(b) for b in out]
+    def facet_counts(self, query: str, col: str, **gates):
+        return _sum_counts(self._fan("facet_counts", self._dfs(query),
+                                     query, col, **gates))
 
-    def snippets_of(self, query: str, doc_ids, col: str = "text"):
-        """Distributed top-k snippet hydration: every shard windows the
-        docs it owns (doc text never crosses the wire — only the k
-        window strings return), the front takes the first non-None per
-        position.  Exact because the doc partition is disjoint: at most
-        one shard answers per doc."""
-        ids = list(doc_ids)
-        parts = ray.get([w.snippets_of.remote(query, ids, col)
-                         for w in self.workers])
-        return [next((p[i] for p in parts if p[i] is not None), None)
-                for i in range(len(ids))]
+    def facet_histogram(self, query: str, col: str, edges, **gates):
+        return _sum_buckets(self._fan("facet_histogram", self._dfs(query),
+                                      query, col, list(edges), **gates))
 
-    def match_count(self, query: str, where: tuple | None = None,
-                    must: str | None = None,
-                    exclude: str | None = None,
-                    require_all: bool = False) -> int:
-        """Distributed total hits: per-shard counts sum exactly over
-        the disjoint doc partition (all clauses are per-doc masks)."""
-        terms = self._terms_of(query)
-        if not terms:
-            return 0
-        dfs = self._global_dfs(terms)
-        return int(sum(ray.get(
-            [w.match_count.remote(query, dfs, where, must, exclude,
-                                  require_all)
-             for w in self.workers])))
+    def snippets_of(self, query: str, doc_ids, *args, **kwargs):
+        """Each shard windows the docs it owns (doc text never crosses
+        the wire — only the k window strings return)."""
+        return _first_held(self._fan("snippets_of", None, query,
+                                     list(doc_ids), *args, **kwargs))
 
     def url_of(self, doc_ids):
-        """Distributed top-k url hydration: every shard answers for the
-        docs it owns, the front takes the first non-None per position
-        (disjoint doc partition — at most one shard answers per doc)."""
-        ids = list(doc_ids)
-        parts = ray.get([w.url_of.remote(ids) for w in self.workers])
-        return [next((p[i] for p in parts if p[i] is not None), None)
-                for i in range(len(ids))]
+        return _first_held(self._fan("url_of", None, list(doc_ids)))
 
     def suggest(self, prefix: str, k: int = 10):
         """Distributed prefix suggestion by THRESHOLD ALGORITHM (Fagin
@@ -1339,9 +998,10 @@ class DocShardedQueryService:
         win on the SUMMED df, but full per-shard enumeration ships
         ~every prefixed (term, df) pair per keystroke.  Instead:
 
-        phase 1: each shard returns its local top-m (m = 2k + 8,
-        doubling per round) plus a REMAINDER BOUND (the (m+1)th df —
-        an upper bound on any term it didn't return).  theta = the kth
+        phase 1: each shard returns its local top-(m+1) (m = 2k + 8,
+        doubling per round): the top-m, and as REMAINDER BOUND the
+        (m+1)th df — an upper bound on any term it didn't return (the
+        rows are df-desc sorted).  theta = the kth
         largest PARTIAL sum over seen terms (a lower bound of the true
         kth summed df); rounds deepen until no UNSEEN term's upper
         bound (sum of all remainder bounds) can reach theta, or every
@@ -1353,7 +1013,8 @@ class DocShardedQueryService:
         them.  Terms pruned by either phase have exact sum strictly
         below the kth exact sum (partial <= exact, bounds are upper
         bounds), so the cut is BIT-IDENTICAL to the exhaustive merge —
-        pytest pins this against suggest_full on the fixture set.
+        pytest pins this against the exhaustive merge of every
+        shard's whole prefixed range on the fixture set.
 
         ``last_suggest_stats`` records wire rows + rounds (the test's
         exchange-size assertion and an ops probe)."""
@@ -1369,13 +1030,13 @@ class DocShardedQueryService:
         while True:
             rounds += 1
             live = [si for si in range(n_shards) if not exhausted[si]]
-            parts = ray.get([self.workers[si].suggest_top.remote(prefix, m)
-                             for si in live])
-            for si, (rows, bound, done) in zip(live, parts):
+            parts = ray.get([self.workers[si].call.remote(
+                "suggest", None, prefix, m + 1) for si in live])
+            for si, rows in zip(live, parts):
                 wire_rows += len(rows)
-                seen[si] = dict(rows)     # refetch supersedes (superset)
-                bounds[si] = 0 if done else bound
-                exhausted[si] = done
+                exhausted[si] = len(rows) <= m
+                bounds[si] = 0 if exhausted[si] else int(rows[m][1])
+                seen[si] = dict(rows[:m])  # refetch supersedes (superset)
             partial: dict[str, int] = {}
             for s in seen:
                 for t, df in s.items():
@@ -1417,59 +1078,6 @@ class DocShardedQueryService:
                                    "rounds": rounds,
                                    "exact_fetch": exact_fetch}
         return out[:k]
-
-    def suggest_full(self, prefix: str, k: int = 10):
-        """Exhaustive-merge reference path (every shard ships its whole
-        prefixed range): the oracle the TA path is pinned against."""
-        if k <= 0 or not prefix:
-            return []
-        parts = ray.get([w.suggest_all.remote(prefix)
-                         for w in self.workers])
-        tot: dict[str, int] = {}
-        for p in parts:
-            for t, df in p:
-                tot[t] = tot.get(t, 0) + df
-        out = sorted(tot.items(), key=lambda x: (-x[1], x[0]))
-        return out[:k]
-
-    def search_phrase(self, query: str, k: int = 10, slop: int = 0,
-                      where: tuple | None = None,
-                      exclude: str | None = None):
-        """Distributed phrase / proximity top-k (positional shard
-        indexes only).  Phrase matching is a PER-DOCUMENT predicate and
-        every doc lives whole on one shard, so scattering the phrase
-        and merging per-shard top-k is exact — the reason real engines
-        shard by document, not by term: a term-sharded layout would
-        have to ship position runs between shards for every multi-term
-        phrase.  ``where`` / ``exclude`` are per-doc predicates too
-        (each shard owns its docs' sidecar and the excluded term's
-        local postings), so they compose shard-locally with the same
-        exactness.  Scores use the same global-stats exchange as
-        search(), so results are bit-identical to one global
-        positional index."""
-        if k <= 0:
-            return []
-        terms = self._terms_of(query)
-        if not terms:
-            return []
-        dfs = self._global_dfs(terms)
-        futs = [w.search_phrase_topk.remote(query, k, dfs, slop,
-                                            where, exclude)
-                for w in self.workers]
-        return self._merge(ray.get(futs), k)
-
-    def search_many(self, queries: list[str], k: int = 10,
-                    where: tuple | None = None,
-                    exclude: str | None = None,
-                    must: str | None = None, require_all: bool = False):
-        """Pipelined: all queries' per-shard top-k futures are in flight
-        before the first merge (merges touch only shards x k rows)."""
-        if k <= 0:
-            return [[] for _ in queries]
-        plans = [self._scatter(q, k, where, exclude, must, require_all)
-                 for q in queries]
-        return [[] if p is None else self._merge(ray.get(p), k)
-                for p in plans]
 
     def shutdown(self):
         for w in self.workers:

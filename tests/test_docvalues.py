@@ -419,6 +419,40 @@ def test_term_sharded_filtered(dv_index):
         for prefix in ("th", "a", "da", "zz"):
             assert svc.suggest(prefix, k=10) == \
                 local.suggest(prefix, k=10), prefix
+        # the numeric-range filter masks shard-side like where
+        for q in (QUERY, "the"):
+            assert svc.search(q, k=10, where_range=("nlen", 100, 2000)) \
+                == local.search(q, k=10, method="daat",
+                                where_range=("nlen", 100, 2000)), q
+        # facets: the front's gated match set, counted per doc range
+        edges = [0, 100, 200, 300, 10**9]
+        for kw in ({}, {"where": ("lang", ("en",))}, {"must": "data"},
+                   {"exclude": "house"}, {"require_all": True},
+                   {"must": "zzz_unseen_term"}):
+            assert svc.facet_counts(QUERY, "lang", **kw) == \
+                local.facet_counts(QUERY, "lang", **kw), kw
+            assert svc.facet_histogram(QUERY, "nlen", edges, **kw) == \
+                local.facet_histogram(QUERY, "nlen", edges, **kw), kw
+        assert svc.facet_counts("zzz_unseen_term", "lang") == []
+        # ... and over HTTP, where this tier used to answer 400
+        import json
+        import urllib.request
+        from engine.http_serve import EngineHttpServer
+        srv = EngineHttpServer(service=svc)
+        port = srv.start()
+        try:
+            rq = urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/search",
+                data=json.dumps({"query": QUERY, "k": 5,
+                                 "facet": "lang"}).encode(),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(rq, timeout=30) as r:
+                assert r.status == 200
+                resp = json.loads(r.read())
+        finally:
+            srv.stop()
+        assert [(f["value"], f["n_docs"]) for f in resp["facets"]] == \
+            local.facet_counts(QUERY, "lang")
     finally:
         svc.shutdown()
 

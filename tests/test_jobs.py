@@ -50,6 +50,22 @@ def test_build_job_cli(unit_webtext, tmp_path):
     assert stats2["n_postings"] == stats["n_postings"]
 
 
+def test_build_job_one_cpu_session(tmp_path):
+    """A build makes progress in a 1-CPU Ray session: the hash-shuffle
+    aggregators must leave a whole CPU to the map tasks (a pool that
+    reserved the only CPU stalled the build with no error)."""
+    import pyarrow.parquet as pq
+    from engine.fixtures import gen_webtext
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(gen_webtext(1000), str(src / "part-0.parquet"))
+    r = _run(["tools/build_job.py", "--input", str(src),
+              "--output", str(tmp_path / "idx1cpu"), "--local-cpus", "1"],
+             timeout=240)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert _json_lines(r.stdout)[-1]["n_docs"] > 0
+
+
 def test_serve_job_cli(unit_webtext, tmp_path):
     out_dir = str(tmp_path / "srvidx")
     r = _run(["tools/build_job.py", "--input", unit_webtext,

@@ -650,6 +650,53 @@ def test_http_service_backend(tmp_path, unit_webtext):
         server.stop()
 
 
+def test_http_capability_probe_vs_engine_fault():
+    """A shape the backend lacks is a client 400, probed before any
+    call; an AttributeError raised INSIDE a supported call is a server
+    fault (500), not a 400 that blames the request."""
+    import json as _json
+    from engine.http_serve import EngineHttpServer
+
+    class Broken:
+        def search(self, query, k=10, **kwargs):
+            raise AttributeError("'NoneType' object has no attribute 'x'")
+
+        def suggest(self, prefix, k=10):
+            return []
+
+    srv = EngineHttpServer(service=Broken())
+    port = srv.start()
+
+    def post(payload):
+        rq = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/search",
+            data=_json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(rq, timeout=30) as r:
+                return r.status, _json.loads(r.read())
+        except urllib.error.HTTPError as e:
+            return e.code, _json.loads(e.read())
+
+    try:
+        status, resp = post({"query": "the data"})
+        assert status == 500
+        assert resp["error"]["type"] == "internal_error"
+        for payload, code in (
+                ({"query": "the data", "phrase": True},
+                 "unsupported_phrase"),
+                ({"query": "the data", "facet": "lang"},
+                 "unsupported_filter"),
+                ({"query": "the data", "with_total": True},
+                 "unsupported_filter"),
+                ({"weights": {"the": 1.0}}, "unsupported_weighted")):
+            status, resp = post(payload)
+            assert status == 400, payload
+            assert resp["error"]["code"] == code, payload
+    finally:
+        srv.stop()
+
+
 def test_http_phrase_search(tmp_path, unit_webtext):
     """/v1/search {"phrase": true, "slop": N} == search_phrase on both
     backends; non-positional index and phrase-less tiers -> clear 400s;

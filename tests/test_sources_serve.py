@@ -423,18 +423,30 @@ def test_doc_sharded_suggest_threshold_algorithm(ray_session,
         shard_dirs.append(d)
 
     local = InvertedIndex(global_dir)
+    shards = [InvertedIndex(d) for d in shard_dirs]
+
+    def suggest_full(prefix, k):
+        """Exhaustive merge: every shard's whole prefixed range, dfs
+        summed — the reference the TA path is pinned against."""
+        if k <= 0 or not prefix:
+            return []
+        tot: dict[str, int] = {}
+        for sh in shards:
+            for t, df in sh.suggest(prefix, k=1 << 62):
+                tot[t] = tot.get(t, 0) + df
+        return sorted(tot.items(), key=lambda x: (-x[1], x[0]))[:k]
+
     svc = DocShardedQueryService(shard_dirs, method="daat")
     try:
         for prefix in ("p", "p0", "p01", "p0001", "zz"):
             for k in (3, 10, 50, 500):
                 want = local.suggest(prefix, k=k)
                 assert svc.suggest(prefix, k=k) == want, (prefix, k)
-                assert svc.suggest_full(prefix, k=k) == want, (prefix, k)
+                assert suggest_full(prefix, k=k) == want, (prefix, k)
         # exchange bound: a 1-char prefix matches all 240 terms on both
         # shards (~480 full-enumeration rows); TA at k=5 ships a small
         # multiple of k per shard
-        full_rows = sum(len(r) for r in __import__("ray").get(
-            [w.suggest_all.remote("p") for w in svc.workers]))
+        full_rows = sum(len(sh.suggest("p", k=1 << 62)) for sh in shards)
         assert full_rows > 400
         assert svc.suggest("p", k=5) == local.suggest("p", k=5)
         stats = svc.last_suggest_stats

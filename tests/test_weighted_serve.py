@@ -80,7 +80,10 @@ def _weight_sets(idx):
     return [W,
             {terms[0]: 3.5},
             {t: 1.0 + 0.25 * i for i, t in enumerate(terms)},
-            {"zzqneverthere": 2.0, terms[0]: 1.0}]
+            {"zzqneverthere": 2.0, terms[0]: 1.0},
+            # a (term, w) pair list repeating a term: each pair is its
+            # own accumulation step on every tier
+            [(terms[0], 1.5), (terms[1], 0.5), (terms[0], 0.25)]]
 
 
 def test_query_service_weighted(ray_session, widx):
