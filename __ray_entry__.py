@@ -1406,7 +1406,8 @@ def oracle_sql() -> dict[str, str]:
                         ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) - 1
                         AS session_id
               FROM o)
-            SELECT user_id, session_id, count(*) AS n_events,
+            SELECT user_id, CAST(session_id AS BIGINT) AS session_id,
+                   count(*) AS n_events,
                    CAST(epoch_us(min(ts)) AS BIGINT) AS start_us,
                    CAST(epoch_us(max(ts)) AS BIGINT) AS end_us,
                    CAST(sum(CAST(round(value * 1e6) AS BIGINT)) AS BIGINT)

@@ -30,8 +30,9 @@ Scale/limits:
   deduplicated its input, so duplicates mean the caller attached the
   pre-dedup table).
 - Docs present in the index but absent from the sidecar simply never
-  match any ``where`` filter (mask False); extra sidecar rows for
-  unknown docs are dropped at load.
+  match any ``where`` filter (mask False); source rows for docs the
+  index does not hold are dropped at attach, so a doc shard can take
+  the whole corpus table.
 - An index built with ``wide_doc_ids=True`` remaps colliding ids
   (engine/build.py resolve_id_collisions); remapped docs (a ~0
   fraction) are treated as absent from the sidecar.
@@ -40,7 +41,6 @@ Scale/limits:
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 import pyarrow as pa
@@ -50,6 +50,7 @@ import ray.data
 
 from engine import index_io
 from engine.config import EngineConfig
+from engine.lru import LRUCache
 from engine.tokenize import doc_ids_from_urls
 
 SIDECAR = "docvalues.parquet"
@@ -63,11 +64,27 @@ SIDECAR = "docvalues.parquet"
 SIDECAR_ROW_GROUP = 128
 
 
+def _held_by(index_dir: str, part: int, ids: np.ndarray):
+    """Bool mask of ``ids`` held by docmeta part ``part`` of the index,
+    or None when the index never wrote that part."""
+    path = os.path.join(index_io.part_dir(index_dir, "docmeta", part),
+                        "docmeta.parquet")
+    if not os.path.exists(path):
+        return None
+    keep_ids = np.sort(pq.read_table(path, columns=["doc_id"])
+                       .column("doc_id").to_numpy())
+    j = np.searchsorted(keep_ids, ids)
+    ok = j < keep_ids.size
+    ok[ok] &= keep_ids[j[ok]] == ids[ok]
+    return ok
+
+
 def _writer_for(index_dir: str, columns: list[str]):
-    """Per-bucket writer: slice the repartitioned batch by part, sort by
-    doc_id (deterministic bytes at any upstream parallelism), fail-loud
-    on duplicate keys, atomic tmp+rename into the existing docmeta part
-    dir."""
+    """Per-bucket writer: slice the repartitioned batch by part, keep
+    the rows of docs that part's docmeta holds (a part the index never
+    wrote gets no sidecar), sort by doc_id (deterministic bytes at any
+    upstream parallelism), fail-loud on duplicate keys, atomic
+    tmp+rename into the docmeta part dir."""
 
     def write(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -77,6 +94,11 @@ def _writer_for(index_dir: str, columns: list[str]):
         out_p, out_n = [], []
         for part in np.unique(parts):
             sl = batch.filter(pa.array(parts == part))
+            held = _held_by(index_dir, int(part),
+                            sl.column("doc_id").to_numpy())
+            if held is None:
+                continue
+            sl = sl.filter(pa.array(held))
             ids = sl.column("doc_id").to_numpy()
             order = np.argsort(ids, kind="stable")
             ids = ids[order]
@@ -90,9 +112,6 @@ def _writer_for(index_dir: str, columns: list[str]):
             for c in columns:
                 cols[c] = sl.column(c).take(pa.array(order))
             d = index_io.part_dir(index_dir, "docmeta", int(part))
-            if not os.path.isdir(d):
-                raise FileNotFoundError(
-                    f"attach_doc_values: docmeta part dir missing: {d}")
             tmp = os.path.join(d, SIDECAR + ".tmp")
             pq.write_table(pa.table(cols), tmp,
                            row_group_size=SIDECAR_ROW_GROUP)
@@ -124,6 +143,10 @@ def attach_doc_values(index_dir: str,
     duplicate_losers + make_dedup_filter), so the attached values are
     the indexed documents'.  Requires ``key="url"`` and a ``warc_ts``
     column.  Default (None) fail-louds on duplicates instead.
+
+    Rows for documents the index does not hold are dropped (a doc
+    shard may attach the whole corpus table); parts the index never
+    wrote get no sidecar.
 
     Returns {"parts": n_parts_written, "rows": total_rows}.
     """
@@ -261,16 +284,10 @@ def carry_doc_values(src_dirs: "str | list[str]", out_dir: str) -> dict:
                 f"carry_doc_values: source sidecars disagree on "
                 f"columns in part {p}: {sorted(set(names))}")
         t = pa.concat_tables(srcs)
-        out_part = os.path.join(index_io.part_dir(out_dir, "docmeta", p),
-                                "docmeta.parquet")
-        keep_ids = pq.read_table(out_part, columns=["doc_id"]) \
-            .column("doc_id").to_numpy()
-        keep_ids = np.sort(keep_ids)
-        ids = t.column("doc_id").to_numpy()
-        j = np.searchsorted(keep_ids, ids)
-        ok = j < keep_ids.size
-        ok[ok] &= keep_ids[j[ok]] == ids[ok]
-        t = t.filter(pa.array(ok))
+        held = _held_by(out_dir, p, t.column("doc_id").to_numpy())
+        if held is None:
+            continue
+        t = t.filter(pa.array(held))
         ids = t.column("doc_id").to_numpy()
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
@@ -355,23 +372,17 @@ def get_doc_values(index_dir: str, cfg: EngineConfig, doc_ids,
 # mtime granularity (size differs in practice; mtime_ns beats the
 # float-seconds mtime either way); bounded by count (a sidecar set has
 # docmeta_parts entries per index — 512 spans many live indexes).
-# Guarded by a lock: get_doc_values is public and EngineHttpServer is a
-# ThreadingHTTPServer, so concurrent insert/evict would corrupt the
-# dict-ordered LRU.
-_PF_CACHE: dict[str, tuple[tuple[int, int], "pq.ParquetFile",
-                           np.ndarray, np.ndarray]] = {}
-_PF_CACHE_MAX = 512
-_PF_LOCK = threading.Lock()
+# get_doc_values is public and EngineHttpServer is a ThreadingHTTPServer:
+# the cache's own lock makes concurrent insert/evict safe.
+_PF_CACHE = LRUCache(512)
 
 
 def _sidecar_file(path: str):
     st_ = os.stat(path)
     key = (st_.st_mtime_ns, st_.st_size)
-    with _PF_LOCK:
-        hit = _PF_CACHE.get(path)
-        if hit is not None and hit[0] == key:
-            _PF_CACHE[path] = _PF_CACHE.pop(path)   # LRU touch
-            return hit[1], hit[2], hit[3]
+    hit = _PF_CACHE.get(path)
+    if hit is not None and hit[0] == key:
+        return hit[1], hit[2], hit[3]
     pf = pq.ParquetFile(path)
     md = pf.metadata
     ci = pf.schema_arrow.names.index("doc_id")
@@ -380,10 +391,7 @@ def _sidecar_file(path: str):
     for g in range(md.num_row_groups):
         st = md.row_group(g).column(ci).statistics
         mins[g], maxs[g] = st.min, st.max
-    with _PF_LOCK:
-        while len(_PF_CACHE) >= _PF_CACHE_MAX:
-            _PF_CACHE.pop(next(iter(_PF_CACHE)))
-        _PF_CACHE[path] = (key, pf, mins, maxs)
+    _PF_CACHE.put(path, (key, pf, mins, maxs), 1)
     return pf, mins, maxs
 
 

@@ -174,10 +174,10 @@ class EngineHttpServer:
         # routes to service.search(query, k) instead of the in-process
         # index — the cluster-serving front (tools/serve_job.py)
         self.service = service
-        # ThreadingHTTPServer handles requests concurrently and the
-        # InvertedIndex decoded-term LRU is not thread-safe (pop +
-        # reinsert + byte accounting), so searches serialize on a lock;
-        # for parallel query serving use engine.serve's actor tiers
+        # ThreadingHTTPServer handles requests concurrently; the
+        # InvertedIndex caches lock themselves, but its lazily filled
+        # part / doc-values state does not, so searches serialize on a
+        # lock; for parallel query serving use engine.serve's actor tiers
         self._search_lock = threading.Lock()
         # vision feature slot: projection built once per server (the
         # reference builds the vision embedder per request from HF —
@@ -290,8 +290,9 @@ class EngineHttpServer:
 
     def _backend(self):
         """-> (backend, lock): the service tier, or the local index
-        under ``_search_lock`` (its decoded-term LRU is not thread-safe;
-        the actor tiers serialize inside their own workers)."""
+        under ``_search_lock`` (its lazily filled state is not
+        thread-safe; the actor tiers serialize inside their own
+        workers)."""
         if self.service is not None:
             return self.service, contextlib.nullcontext()
         return self.index, self._search_lock

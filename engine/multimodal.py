@@ -144,7 +144,9 @@ class ImageFeatureActor:
     ONCE per actor in __init__, each __call__ handles one Arrow batch.
 
     Use:  assets.map_batches(ImageFeatureActor, batch_format="pyarrow",
-                             batch_size=64, concurrency=4, num_cpus=1)
+                             batch_size=64, concurrency=pool_size(),
+                             num_cpus=1)
+    (``pool_size`` from engine.config: the cluster-sized pool).
     Small batch_size on purpose: payloads are large binaries.
     """
 

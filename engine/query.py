@@ -44,6 +44,7 @@ import pyarrow.parquet as pq
 
 from engine import index_io
 from engine.config import EngineConfig
+from engine.lru import LRUCache
 from engine.postings import (decode_postings, decode_skips, decode_block,
                              decode_positions, gather_slices)
 from engine.tokenize import HASH_FNS, tokenize
@@ -89,13 +90,6 @@ class InvertedIndex:
                  deleted=None):
         self.index_dir = index_dir
         self.use_mmap = use_mmap  # serving default: page-cache-backed blobs
-        # decoded-term cache budget in BYTES, not term count: one
-        # stopword list at 10^6+ df decodes to tens of MB, so a count
-        # cap either thrashes (every query re-decodes its stopwords —
-        # measured 1.02 s p95 at 1.6M docs with a 64-term cap) or
-        # overruns memory.  LRU by bytes holds the query working set.
-        self.cache_budget_bytes = cache_budget_bytes
-        self._cache_bytes = 0
         self.manifest = index_io.load_manifest(index_dir)
         self.cfg = EngineConfig.from_dict(self.manifest["config"])
         st = self.manifest["stats"]
@@ -124,37 +118,38 @@ class InvertedIndex:
             deleted = index_io.load_deletes(index_dir)
         deleted = np.asarray(deleted, dtype=np.int64)
         self._del_mask = None
-        if deleted.size and self._doc_ids.size:
-            p = np.searchsorted(self._doc_ids, deleted)
-            ok = p < self._doc_ids.size
-            p = p[ok]
-            p = p[self._doc_ids[p] == deleted[ok]]
-            if p.size:
-                self._del_mask = np.zeros(self._doc_ids.size, dtype=bool)
-                self._del_mask[p] = True
+        pos, held = self._held(deleted)
+        if held.any():
+            self._del_mask = np.zeros(self._doc_ids.size, dtype=bool)
+            self._del_mask[pos[held]] = True
         self._term_cache: dict[int, dict] = {}
         self._blob_cache: dict[int, tuple[bytes, bytes]] = {}
         self._posblob_cache: dict[int, bytes] = {}  # positional indexes
-        self._positions_cache: dict[str, tuple] = {}  # phrase-term state
-        self._pos_cache_sizes: dict[str, int] = {}
-        self._pos_cache_bytes = 0
-        self._postings_cache: dict[tuple, tuple] = {}  # hot decoded terms
+        # decoded-term caches budget BYTES, not term count: one
+        # stopword list at 10^6+ df decodes to tens of MB, so a count
+        # cap either thrashes (every query re-decodes its stopwords —
+        # measured 1.02 s p95 at 1.6M docs with a 64-term cap) or
+        # overruns memory.  LRU by bytes holds the query working set.
+        self._postings_cache = LRUCache(cache_budget_bytes)  # hot terms
+        self._positions_cache = LRUCache(cache_budget_bytes)  # phrase terms
         # doc-values sidecars (engine/docvalues.py): per column, the
         # factorized value codes aligned to _doc_ids (-1 = no sidecar
         # row) + the unique value array; masks cached per (col, values)
         self._dv_cache: dict[str, tuple] = {}
-        # mask cache is byte-budget LRU like the decoded-term cache:
         # each mask is 1 byte/doc and every DISTINCT (col, values) or
         # (col, lo, hi) tuple is its own key — per-tenant filters or
         # sliding range windows would otherwise grow it without bound
-        self._dv_mask_cache: dict[tuple, np.ndarray] = {}
-        self._dv_mask_bytes = 0
-        self.dv_mask_budget_bytes = max(1 << 20, cache_budget_bytes // 8)
+        self._dv_mask_cache = LRUCache(max(1 << 20, cache_budget_bytes // 8))
         # distributed-serving hooks: a doc-range shard scores with GLOBAL
         # statistics so per-shard top-k merges are exact (classic
         # distributed-IDF exchange).  df overrides are per-term corpus
         # dfs; n_docs/avgdl are overridden via set_global_stats.
         self._df_overrides: dict[str, int] = {}
+
+    @property
+    def cache_budget_bytes(self) -> int:
+        """Byte budget of each decoded-term cache (scores, positions)."""
+        return self._postings_cache.budget
 
     def set_global_stats(self, n_docs: int, avgdl: float,
                          dfs: dict[str, int] | None = None) -> None:
@@ -166,7 +161,6 @@ class InvertedIndex:
         if dfs:
             self._df_overrides.update(dfs)
         self._postings_cache.clear()
-        self._cache_bytes = 0
 
     def add_df_overrides(self, dfs: dict[str, int]) -> None:
         """Merge per-term global dfs (stable per term, so previously
@@ -176,9 +170,7 @@ class InvertedIndex:
             old = self._df_overrides.get(t)
             if old != df:
                 self._df_overrides[t] = df
-                stale = self._postings_cache.pop(t, None)
-                if stale is not None:
-                    self._cache_bytes -= sum(a.nbytes for a in stale)
+                self._postings_cache.pop(t)
 
     # -- doc-values filters ---------------------------------------------------
     def _load_doc_values(self, col: str):
@@ -202,31 +194,11 @@ class InvertedIndex:
         # column costs 400 MB at int64 — half that matters; cardinality
         # beyond 2^31 values would overflow doc memory long before this)
         aligned = np.full(self._doc_ids.size, -1, dtype=np.int32)
-        p = np.searchsorted(self._doc_ids, ids)
-        ok = p < self._doc_ids.size
-        ok[ok] &= self._doc_ids[p[ok]] == ids[ok]
-        aligned[p[ok]] = codes[ok]
+        pos, held = self._held(ids)
+        aligned[pos[held]] = codes[held]
         out = (aligned, np.asarray(uniq, dtype=object))
         self._dv_cache[col] = out
         return out
-
-    def _dv_mask_get(self, key: tuple):
-        hit = self._dv_mask_cache.get(key)
-        if hit is not None:
-            self._dv_mask_cache.pop(key)   # LRU touch: re-insert
-            self._dv_mask_cache[key] = hit
-        return hit
-
-    def _dv_mask_put(self, key: tuple, mask: np.ndarray) -> None:
-        size = mask.nbytes
-        if size > self.dv_mask_budget_bytes:
-            return
-        while (self._dv_mask_bytes + size > self.dv_mask_budget_bytes
-               and self._dv_mask_cache):
-            oldest = next(iter(self._dv_mask_cache))
-            self._dv_mask_bytes -= self._dv_mask_cache.pop(oldest).nbytes
-        self._dv_mask_cache[key] = mask
-        self._dv_mask_bytes += size
 
     def range_mask(self, col: str, lo, hi) -> np.ndarray:
         """Boolean keep-mask for ``lo <= col <= hi`` (inclusive both
@@ -234,24 +206,17 @@ class InvertedIndex:
         compare runs over the column's UNIQUE values (the factorized
         dictionary), then one lut gather — O(distinct) compares even
         when n_docs is huge; missing docs never match."""
-        key = (col, "__range__", lo, hi)
-        hit = self._dv_mask_get(key)
-        if hit is not None:
-            return hit
-        aligned, uniq = self._load_doc_values(col)
-        try:
-            # exact for ints up to 2^53 (epoch-us timestamps included)
-            u = uniq.astype(np.float64)
-            want = (u >= lo) & (u <= hi)
-        except (TypeError, ValueError):
-            # non-castable values: exact Python compare, still only
-            # O(distinct) — never O(n_docs)
-            want = np.array([v is not None and lo <= v <= hi
-                             for v in uniq.tolist()], dtype=bool)
-        lut = np.concatenate((want, [False]))
-        mask = lut[aligned]
-        self._dv_mask_put(key, mask)
-        return mask
+        def want(uniq):
+            try:
+                # exact for ints up to 2^53 (epoch-us timestamps included)
+                u = uniq.astype(np.float64)
+                return (u >= lo) & (u <= hi)
+            except (TypeError, ValueError):
+                # non-castable values: exact Python compare, still only
+                # O(distinct) — never O(n_docs)
+                return np.array([v is not None and lo <= v <= hi
+                                 for v in uniq.tolist()], dtype=bool)
+        return self._value_mask((col, "__range__", lo, hi), col, want)
 
     def where_mask(self, col: str, values) -> np.ndarray:
         """Boolean keep-mask over ``_doc_ids`` positions for
@@ -264,16 +229,20 @@ class InvertedIndex:
                 values = tuple(values)
             except TypeError:      # scalar (int/float/np number)
                 values = (values,)
-        key = (col, values)
-        hit = self._dv_mask_get(key)
-        if hit is not None:
-            return hit
-        aligned, uniq = self._load_doc_values(col)
-        want = np.isin(uniq, np.asarray(list(values), dtype=object))
-        # lut[-1] stays False -> code -1 (missing) never matches
-        lut = np.concatenate((want, [False]))
-        mask = lut[aligned]
-        self._dv_mask_put(key, mask)
+        return self._value_mask(
+            (col, values), col,
+            lambda uniq: np.isin(uniq, np.asarray(list(values), dtype=object)))
+
+    def _value_mask(self, key: tuple, col: str, want_of) -> np.ndarray:
+        """Keep-mask of the docs whose ``col`` value passes ``want_of``
+        (a bool test over the column's unique values), cached under
+        ``key``.  The lut's last entry stays False, so code -1 (no
+        sidecar row) never matches."""
+        mask = self._dv_mask_cache.get(key)
+        if mask is None:
+            aligned, uniq = self._load_doc_values(col)
+            mask = np.concatenate((want_of(uniq), [False]))[aligned]
+            mask = self._dv_mask_cache.put(key, mask, mask.nbytes)
         return mask
 
     # -- segment access -----------------------------------------------------
@@ -347,11 +316,10 @@ class InvertedIndex:
         the ~1.2 B/occurrence blob instead of 4 B/occurrence int32
         positions — more phrase terms stay resident in the same budget.
         ``eidx`` maps kept entries to original entry indices when a
-        tombstone overlay dropped some (None otherwise)."""
+        tombstone overlay or the loader's ``doc_range`` dropped some
+        (None otherwise)."""
         hit = self._positions_cache.get(term)
         if hit is not None:
-            self._positions_cache.pop(term)
-            self._positions_cache[term] = hit   # LRU touch
             return hit
         ent = self.lookup_positions(term)
         if ent is None:
@@ -359,7 +327,7 @@ class InvertedIndex:
         df, pbytes, skips, pblob = ent
         ids, tfs = decode_postings(pbytes, skips.tobytes(), df,
                                    self.cfg.block_size)
-        pos = np.searchsorted(self._doc_ids, ids.astype(np.int64))
+        pos, keep = self._held(ids)   # out of a doc_range: not held
         tfs = tfs.astype(np.int64)
         # entry byte boundaries: value v ends at the v-th clear
         # continuation bit; entry i spans values [vc[i], vc[i+1])
@@ -369,27 +337,18 @@ class InvertedIndex:
         offs = np.empty(tfs.size + 1, dtype=np.int64)
         offs[0] = 0
         offs[1:] = ends[vc[1:] - 1] + 1
-        eidx = None
         if self._del_mask is not None:
-            keep = ~self._del_mask[pos]
-            if not keep.all():
-                eidx = np.flatnonzero(keep)
-                pos, tfs = pos[keep], tfs[keep]
+            keep &= ~self._del_mask[pos]
+        eidx = None
+        if not keep.all():
+            eidx = np.flatnonzero(keep)
+            pos, tfs = pos[keep], tfs[keep]
         if self._doc_ids.size < (1 << 31):
             pos = pos.astype(np.int32)
-        out = (pos, tfs.astype(np.int32), blob, offs, eidx)
         size = (pos.nbytes + tfs.nbytes * 2 + blob.nbytes + offs.nbytes
                 + (0 if eidx is None else eidx.nbytes))
-        if size <= self.cache_budget_bytes:
-            while (self._pos_cache_bytes + size > self.cache_budget_bytes
-                   and self._positions_cache):
-                oldest = next(iter(self._positions_cache))
-                self._positions_cache.pop(oldest)
-                self._pos_cache_bytes -= self._pos_cache_sizes.pop(oldest)
-            self._positions_cache[term] = out
-            self._pos_cache_sizes[term] = size
-            self._pos_cache_bytes += size
-        return out
+        return self._positions_cache.put(
+            term, (pos, tfs.astype(np.int32), blob, offs, eidx), size)
 
     def _positions_blob(self, part: int):
         """Lazy per-part positions.bin (phrase path only — BM25 serving
@@ -625,9 +584,9 @@ class InvertedIndex:
                      must: str | None = None, exclude: str | None = None,
                      where: tuple | None = None,
                      where_range: tuple | None = None):
-        """match set & must & exclude & where & where_range, decoded in
-        that order; None when nothing can match (an absent must-term
-        empties the set, as in search)."""
+        """match set & must & exclude & where & where_range; None when
+        nothing can match (an absent must-term empties the set, as in
+        search)."""
         matched = self._match_mask(terms, require_all)
         if matched is None:
             return None
@@ -636,12 +595,10 @@ class InvertedIndex:
             if mm is None:
                 return None
             matched &= mm
-        if exclude:
-            matched &= self._exclude_mask(exclude)
-        if where is not None:
-            matched &= self.where_mask(*where)
-        if where_range is not None:
-            matched &= self.range_mask(*where_range)
+        keep = self._filter_mask(where, where_range, self._exclude_mask(
+            exclude) if exclude else None)
+        if keep is not None:
+            matched &= keep
         return matched
 
     def facet_histogram(self, query: str, col: str, edges,
@@ -698,6 +655,10 @@ class InvertedIndex:
                must: str | None = None):
         """-> list of (doc_id, score) sorted score desc, doc_id asc.
 
+        ``method`` is ``"bmw"`` (block-max MaxScore, the default) or
+        ``"daat"`` (exhaustive, the bit-identity reference); any other
+        value raises ValueError.
+
         ``require_all=True`` switches to conjunctive (AND) semantics:
         only documents containing EVERY query term are candidates (a
         term absent from the index empties the result, the classic
@@ -746,6 +707,9 @@ class InvertedIndex:
         the special case where every query term is required).  A
         must-term absent from the index empties the result.
         """
+        if method not in ("bmw", "daat"):
+            raise ValueError(
+                f"unknown search method {method!r} (use 'bmw' or 'daat')")
         if k <= 0:
             return []
         ex_mask = None
@@ -771,31 +735,27 @@ class InvertedIndex:
             entries.append((t, df, idf, pbytes, skips))
         if not entries:
             return []
-        if where is not None or ex_mask is not None \
-                or where_range is not None or must_mask is not None:
-            mask = None
-            for m in ((self.where_mask(*where)
-                       if where is not None else None),
-                      (self.range_mask(*where_range)
-                       if where_range is not None else None),
-                      ex_mask, must_mask):
-                if m is not None:
-                    mask = m if mask is None else (mask & m)
-            if require_all:
-                return self._search_all(entries, k, mask)
-            if (int(mask.sum())
-                    <= self.filtered_dense_cutoff * self._doc_ids.size):
-                return self._search_filtered(entries, k, mask)
-            if method == "bmw":
-                return self._search_bmw(entries, k, mask)
-            return self._search_daat(entries, k, mask)
+        mask = self._filter_mask(where, where_range, ex_mask, must_mask)
         if require_all:
-            return self._search_all(entries, k)
-        if method == "daat":
-            return self._search_daat(entries, k)
-        if method == "dense":
-            return self._search_dense(entries, k)
-        return self._search_bmw(entries, k)
+            return self._search_all(entries, k, mask)
+        if mask is not None and (int(mask.sum()) <= self.filtered_dense_cutoff
+                                 * self._doc_ids.size):
+            return self._search_filtered(entries, k, mask)
+        if method == "bmw":
+            return self._search_bmw(entries, k, mask)
+        return self._search_daat(entries, k, mask)
+
+    def _filter_mask(self, where: tuple | None = None,
+                     where_range: tuple | None = None, *masks):
+        """AND of the doc-values filters and the given keep-masks (None
+        ones skipped) -> one keep-mask, or None when nothing filters."""
+        out = None
+        for m in ((self.where_mask(*where) if where is not None else None),
+                  (self.range_mask(*where_range)
+                   if where_range is not None else None), *masks):
+            if m is not None:
+                out = m if out is None else (out & m)
+        return out
 
     def search_weighted(self, term_weights, k: int = 10,
                         where: tuple | None = None,
@@ -840,19 +800,14 @@ class InvertedIndex:
         if not entries:
             return []
         entries.sort(key=lambda e: (e[1], e[0]))  # global df asc, term
-        acc = np.zeros(self._doc_ids.size, dtype=np.float64)
-        touched = np.zeros(self._doc_ids.size, dtype=bool)
-        for term, gdf, df, w, pbytes, skips in entries:
-            pos, s = self._decode_term(
-                term, df, pbytes, skips, self.idf(gdf))
-            acc[pos] += w * s
-            touched[pos] = True
-        if where is not None:
-            touched &= self.where_mask(*where)
-        if where_range is not None:
-            touched &= self.range_mask(*where_range)
-        nz = np.flatnonzero(touched)
-        return self._topk(self._doc_ids[nz], acc[nz], k)
+
+        def runs():
+            for term, gdf, df, w, pbytes, skips in entries:
+                pos, s = self._decode_term(term, df, pbytes, skips,
+                                           self.idf(gdf))
+                yield pos, w * s
+        return self._accumulate_topk(runs(), k,
+                                     self._filter_mask(where, where_range))
 
     def match_count_weighted(self, term_weights,
                              where: tuple | None = None,
@@ -1077,21 +1032,6 @@ class InvertedIndex:
             acc += s[np.searchsorted(pos, inter)]
         return self._topk(self._doc_ids[inter], acc, k)
 
-    def _search_dense(self, entries, k: int):
-        """Exhaustive scoring into a dense per-position array (Lucene
-        score-array shape); rank-identical with the sparse paths (same
-        per-doc float addition order).  Measured: ~5 ms lower p95 on
-        stopword-heavy query sets but ~2 ms higher p50 than the sparse
-        block-max path at 200k docs, so it is an explicit method rather
-        than an auto route (p50 is the headline metric); the dense array
-        is per-shard n_docs once serving shards doc ranges."""
-        acc = np.zeros(self._doc_ids.size, dtype=np.float64)
-        for term, df, idf, pbytes, skips in entries:
-            pos, s = self._decode_term(term, df, pbytes, skips, idf)
-            acc[pos] += s  # pos unique within a term: safe fancy add
-        nz = np.flatnonzero(acc)
-        return self._topk(self._doc_ids[nz], acc[nz], k)
-
     def _term_score(self, tfs: np.ndarray, dls: np.ndarray, idf: float) -> np.ndarray:
         k1, b = self.cfg.k1, self.cfg.b
         tfs = tfs.astype(np.float64)
@@ -1115,19 +1055,27 @@ class InvertedIndex:
         return [(int(doc_ids[i]), float(scores[i])) for i in order]
 
     def _search_daat(self, entries, k: int, mask: np.ndarray | None = None):
-        """Exhaustive: decode every posting of every query term,
-        accumulate into a DENSE per-position score array.  Positions are
-        unique within a term (docID-sorted postings), so buffered fancy
-        ``acc[pos] += s`` is exact — the earlier sparse np.unique +
+        """Exhaustive: decode every posting of every query term and sum
+        the terms in query order.  ``mask`` (doc-values filter) drops
+        non-matching candidates before the top-k cut; scores are
+        unchanged (global stats)."""
+        return self._accumulate_topk(
+            (self._decode_term(t, df, pbytes, skips, idf)
+             for t, df, idf, pbytes, skips in entries), k, mask)
+
+    def _accumulate_topk(self, runs, k: int,
+                         mask: np.ndarray | None = None):
+        """Top-k of per-doc sums over ``(pos, contribution)`` runs, added
+        in the order given into a DENSE per-position array.  Positions
+        are unique within a run (docID-sorted postings), so buffered
+        fancy ``acc[pos] += s`` is exact — the earlier sparse np.unique +
         np.add.at merge cost seconds per stopword term at multi-M df
         (np.add.at is unbuffered); the dense array is O(n_docs) = 8
         bytes/doc, bounded per doc-range shard when serving sharded.
-        ``mask`` (doc-values filter) drops non-matching candidates
-        before the top-k cut; scores are unchanged (global stats)."""
+        ``mask`` keeps only its True docs for the cut."""
         acc = np.zeros(self._doc_ids.size, dtype=np.float64)
         touched = np.zeros(self._doc_ids.size, dtype=bool)
-        for term, df, idf, pbytes, skips in entries:
-            pos, s = self._decode_term(term, df, pbytes, skips, idf)
+        for pos, s in runs:
             acc[pos] += s
             touched[pos] = True
         if mask is not None:
@@ -1178,31 +1126,13 @@ class InvertedIndex:
                           and min(cand_pos.size, skips.shape[0])
                           * self.cfg.block_size * 4 < df)
             if use_blocks:
-                last = skips[:, 0]
-                bi = np.unique(np.searchsorted(last, cand_ids,
-                                               side="left"))
-                bi = bi[bi < last.size]
-                if bi.size == 0:
-                    continue
-                parts = [decode_block(pbytes, skips, int(b), df,
-                                      self.cfg.block_size) for b in bi]
-                ids = np.concatenate([p[0] for p in parts]).astype(np.int64)
-                tfs = np.concatenate([p[1] for p in parts])
-                p = np.searchsorted(cand_ids, ids)
-                ok = p < cand_ids.size
-                ok[ok] &= cand_ids[p[ok]] == ids[ok]
-                if not ok.any():
-                    continue
-                cpos = p[ok]
-                s = self._term_score(tfs[ok],
-                                     self._doclens[cand_pos[cpos]], idf)
+                cpos, s = self._score_blocks(
+                    pbytes, skips, df, idf,
+                    self._candidate_blocks(skips, cand_ids), cand_ids)
             else:
                 pos, s_all = (hit if hit is not None else
                               self._decode_term(term, df, pbytes, skips,
                                                 idf))
-                if hit is not None:             # LRU touch
-                    self._postings_cache.pop(term)
-                    self._postings_cache[term] = hit
                 keep = mask[pos]
                 if not keep.any():
                     continue
@@ -1216,41 +1146,47 @@ class InvertedIndex:
         return self._topk(cand_ids[nz], acc[nz], k)
 
     def _decode_term(self, term: str, df: int, pbytes: bytes,
-                     skips: np.ndarray, idf: float | None = None):
-        """Full decode + per-posting BM25 scores -> (pos, scores),
-        where ``pos`` indexes into the loader's sorted ``_doc_ids``
+                     skips: np.ndarray, idf: float):
+        """Decode + per-posting BM25 scores -> (pos, scores), where
+        ``pos`` indexes into the loader's sorted ``_doc_ids``
         (``self._doc_ids[pos]`` reconstructs the docID run).  Cached in
         a byte-budget LRU (production engines cache decoded stopword
         lists; scores are a pure function of (tf, doclen, df) so they
-        cache too)."""
+        cache too).
+
+        A doc-range loader holds only its range's docmeta slice, so it
+        decodes ONLY the posting blocks whose docID window intersects
+        the range — postings are docID-sorted, so the range is a
+        contiguous block window found by binary search on the skip
+        table's last_doc column — and drops the window's out-of-range
+        ids (they would searchsorted to WRONG slots or past the end).
+        Concatenating every range's run in ascending-range order
+        reproduces the full decode bit-for-bit (same ids order, same
+        per-element score arithmetic)."""
         hit = self._postings_cache.get(term)
         if hit is not None:
-            # LRU touch: dicts iterate in insertion order, so re-insert
-            self._postings_cache.pop(term)
-            self._postings_cache[term] = hit
             return hit
-        ids, tfs = decode_postings(pbytes, skips.tobytes(), df,
-                                   self.cfg.block_size)
-        ids = ids.astype(np.int64)
-        if self.doc_range is not None:
-            # a doc-range loader holds only its range's docmeta slice:
-            # out-of-range posting ids would searchsorted to WRONG slots
-            # (scores attributed to other docs) or index past the end.
-            # Filter to the range first — same [lo, hi) semantics as
-            # score_term_range, so public search/facet on a restricted
-            # loader returns exactly its range's hits.
+        if self.doc_range is None:
+            ids, tfs = decode_postings(pbytes, skips.tobytes(), df,
+                                       self.cfg.block_size)
+            ids = ids.astype(np.int64)
+        else:
             lo, hi = self.doc_range
             hi_in = min(hi, (1 << 63)) - 1  # inclusive upper (int64-safe)
+            last = skips[:, 0]
+            b0 = int(np.searchsorted(last, lo, side="left"))
+            b1 = min(int(np.searchsorted(last, hi_in, side="left")),
+                     last.size - 1)
+            ids, tfs = self._decode_blocks(pbytes, skips, df,
+                                           range(b0, b1 + 1))
             in_range = (ids >= lo) & (ids <= hi_in)
-            if not in_range.all():
-                ids, tfs = ids[in_range], tfs[in_range]
+            ids, tfs = ids[in_range], tfs[in_range]
         pos = np.searchsorted(self._doc_ids, ids)
         if self._del_mask is not None:
             keep = ~self._del_mask[pos]
             if not keep.all():
                 pos, tfs = pos[keep], tfs[keep]
-        scores = self._term_score(tfs, self._doclens[pos],
-                                  self.idf(df) if idf is None else idf)
+        scores = self._term_score(tfs, self._doclens[pos], idf)
         # cache the SLIM form: (position, score) is all scoring needs
         # (ids reconstruct as self._doc_ids[pos]); int32 positions
         # whenever the per-loader doc count allows -> 12 bytes/posting
@@ -1258,81 +1194,47 @@ class InvertedIndex:
         # the same byte budget
         if self._doc_ids.size < (1 << 31):
             pos = pos.astype(np.int32)
-        out = (pos, scores)
-        size = pos.nbytes + scores.nbytes
-        if size <= self.cache_budget_bytes:
-            while (self._cache_bytes + size > self.cache_budget_bytes
-                   and self._postings_cache):
-                oldest = next(iter(self._postings_cache))
-                evicted = self._postings_cache.pop(oldest)
-                self._cache_bytes -= sum(a.nbytes for a in evicted)
-            self._postings_cache[term] = out
-            self._cache_bytes += size
-        return out
+        return self._postings_cache.put(term, (pos, scores),
+                                        pos.nbytes + scores.nbytes)
+
+    def _decode_blocks(self, pbytes: bytes, skips: np.ndarray, df: int,
+                       blocks) -> tuple[np.ndarray, np.ndarray]:
+        """(int64 doc ids, tfs) of the given ascending posting blocks —
+        the random-access decode of block windows and of the blocks
+        holding filter / phase-B candidates."""
+        parts = [decode_block(pbytes, skips, int(b), df, self.cfg.block_size)
+                 for b in blocks] or [(np.empty(0, np.uint64),) * 2]
+        return (np.concatenate([p[0] for p in parts]).astype(np.int64),
+                np.concatenate([p[1] for p in parts]))
+
+    @staticmethod
+    def _candidate_blocks(skips: np.ndarray, cand_ids: np.ndarray):
+        """Posting blocks whose docID window holds a candidate (sorted
+        ids): binary search against the skip table's last_doc column."""
+        need = np.unique(np.searchsorted(skips[:, 0], cand_ids))
+        return need[need < skips.shape[0]]
+
+    def _score_blocks(self, pbytes: bytes, skips: np.ndarray, df: int,
+                      idf: float, blocks, cand_ids: np.ndarray):
+        """One term's exact BM25 scores for the candidates (sorted ids)
+        that ``blocks`` hold -> (candidate slots, scores); slots are
+        unique, in docID order."""
+        ids, tfs = self._decode_blocks(pbytes, skips, df, blocks)
+        slot = np.searchsorted(cand_ids, ids)
+        hit = slot < cand_ids.size
+        hit[hit] &= cand_ids[slot[hit]] == ids[hit]
+        return slot[hit], self._term_score(tfs[hit],
+                                           self._doclen_of(ids[hit]), idf)
 
     def score_term_range(self, term: str):
-        """-> (doc_ids, bm25 scores) restricted to this loader's
-        ``doc_range`` (full postings when no range is set), decoding
-        ONLY the posting blocks whose docID window intersects the range
-        — postings are docID-sorted, so a range is a contiguous block
-        window found by binary search on the skip table's last_doc
-        column.  Concatenating every range's output in ascending-range
-        order reproduces the full decode bit-for-bit (same ids order,
-        same per-element score arithmetic), which is what keeps the
-        doc-range-sharded scatter-gather identical to local daat."""
-        ent = self.lookup(term)
-        if ent is None:
+        """-> (doc_ids, bm25 scores) of this loader's ``doc_range`` (full
+        postings when no range is set), scored with the global
+        (overridden) idf; None when the term is absent or has no live
+        posting here.  The same cached decode as every scorer."""
+        dec = self._decoded(term)
+        if dec is None or dec[0].size == 0:
             return None
-        df, pbytes, skips = ent
-        idf = self.idf(self._df_overrides.get(term, df))
-        if self.doc_range is None:
-            pos, s = self._decode_term(term, df, pbytes, skips, idf)
-            return self._doc_ids[pos], s
-        lo, hi = self.doc_range
-        hi_in = min(hi, (1 << 63)) - 1      # inclusive upper (int64-safe)
-        hit = self._postings_cache.get(term)
-        if hit is not None:
-            self._postings_cache.pop(term)
-            self._postings_cache[term] = hit
-            rpos, rs = hit
-            return self._doc_ids[rpos], rs
-        last = skips[:, 0]
-        if last.size == 0:
-            return None
-        b0 = int(np.searchsorted(last, lo, side="left"))
-        b1 = int(np.searchsorted(last, hi_in, side="left"))
-        b1 = min(b1, last.size - 1)
-        if b0 > b1:
-            return None
-        parts = [decode_block(pbytes, skips, bi, df, self.cfg.block_size)
-                 for bi in range(b0, b1 + 1)]
-        ids = np.concatenate([p[0] for p in parts]).astype(np.int64)
-        tfs = np.concatenate([p[1] for p in parts])
-        keep = (ids >= lo) & (ids <= hi_in)
-        ids, tfs = ids[keep], tfs[keep]
-        if ids.size == 0:
-            return None
-        pos = np.searchsorted(self._doc_ids, ids)
-        if self._del_mask is not None:
-            live = ~self._del_mask[pos]
-            if not live.all():
-                pos, ids, tfs = pos[live], ids[live], tfs[live]
-                if ids.size == 0:
-                    return None
-        scores = self._term_score(tfs, self._doclens[pos], idf)
-        if self._doc_ids.size < (1 << 31):
-            pos = pos.astype(np.int32)
-        out = (pos, scores)
-        size = pos.nbytes + scores.nbytes
-        if size <= self.cache_budget_bytes:
-            while (self._cache_bytes + size > self.cache_budget_bytes
-                   and self._postings_cache):
-                oldest = next(iter(self._postings_cache))
-                evicted = self._postings_cache.pop(oldest)
-                self._cache_bytes -= sum(a.nbytes for a in evicted)
-            self._postings_cache[term] = out
-            self._cache_bytes += size
-        return ids, scores
+        return self._doc_ids[dec[0]], dec[1]
 
     def _search_bmw(self, entries, k: int, mask: np.ndarray | None = None):
         """Block-max top-k: two-phase MaxScore (Turtle & Flood 1995 /
@@ -1432,9 +1334,7 @@ class InvertedIndex:
                                                cand_scores[keep])
             if cand_ids.size == 0:
                 break
-            # blocks whose docID range contains a candidate
-            need = np.unique(np.searchsorted(skips[:, 0], cand_ids))
-            need = need[need < skips.shape[0]]
+            need = self._candidate_blocks(skips, cand_ids)
             if need.size == 0:
                 continue
             if need.size * 4 >= skips.shape[0]:
@@ -1456,19 +1356,11 @@ class InvertedIndex:
                     # buffered fancy add is exact
                     cand_scores[sl[hitmask]] += s_all[hitmask]
             else:
-                blk_parts = [decode_block(pbytes, skips, int(bi), df,
-                                          self.cfg.block_size) for bi in need]
-                ids = np.concatenate([p[0] for p in blk_parts]).astype(np.int64)
-                tfs = np.concatenate([p[1] for p in blk_parts])
-                pos = np.searchsorted(cand_ids, ids)
-                pos[pos >= cand_ids.size] = cand_ids.size - 1
-                hitmask = cand_ids[pos] == ids
-                if hitmask.any():
-                    s = self._term_score(tfs[hitmask],
-                                         self._doclen_of(ids[hitmask]), idf)
-                    # ids unique within a term -> hit positions unique:
-                    # buffered fancy add is exact (and fast, unlike add.at)
-                    cand_scores[pos[hitmask]] += s
+                slots, s = self._score_blocks(pbytes, skips, df, idf, need,
+                                              cand_ids)
+                # slots unique within a term: buffered fancy add is
+                # exact (and fast, unlike add.at)
+                cand_scores[slots] += s
             if cand_scores.size >= k:
                 theta = float(np.partition(cand_scores, -k)[-k])
         return self._topk(cand_ids, cand_scores, k)

@@ -49,14 +49,13 @@ instantiated — never at import (the driver owns the Ray session).
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 import ray
 
 from engine import index_io
 from engine.config import EngineConfig
+from engine.lru import LRUCache
 from engine.query import InvertedIndex, part_of, terms_of, weight_items
 from engine.tokenize import stable_hash64
 
@@ -192,9 +191,10 @@ class ShardWorker:
     """Owns a part range of the term-partitioned index, optionally
     restricted to a DOC RANGE: with ``doc_range`` set the worker loads
     only that range's docmeta slice (O(corpus / n_ranges) resident, the
-    round-2 docmeta-residency fix) and decodes only the posting blocks
-    intersecting the range.  The wrapped InvertedIndex loads term parts
-    lazily, so postings memory = the warmed part range (mmap)."""
+    round-2 docmeta-residency fix) and its loader's one decode path
+    reads only the posting blocks intersecting the range.  The wrapped
+    InvertedIndex loads term parts lazily, so postings memory = the
+    warmed part range (mmap)."""
 
     def __init__(self, index_dir: str,
                  doc_range: tuple[int, int] | None = None,
@@ -232,25 +232,17 @@ class ShardWorker:
         bit-identical to local daat-with-mask, and selective filters
         also shrink the bytes on the wire."""
         out = {}
-        mask = self.idx.where_mask(*where) if where is not None else None
-        if where_range is not None:
-            rm = self.idx.range_mask(*where_range)
-            mask = rm if mask is None else (mask & rm)
+        mask = self.idx._filter_mask(where, where_range)
         for t in terms:
             ent = self.idx.score_term_range(t)
             if ent is not None and mask is not None:
-                ids, scores = ent
-                pos = np.searchsorted(self.idx._doc_ids, ids)
-                keep = mask[pos]
-                ent = (ids[keep], scores[keep]) if keep.any() else None
-            if ent is not None:
-                # df rides along for the front's require_all path: the
-                # conjunctive accumulation sums terms in ascending-df
-                # order (query.py _search_all), and a term's one part
-                # holds ALL its postings, so this df is the global df
-                out[t] = (ent[0], ent[1], self.idx.df_of(t))
-            else:
-                out[t] = None
+                keep = mask[self.idx._held(ent[0])[0]]
+                ent = (ent[0][keep], ent[1][keep]) if keep.any() else None
+            # df rides along for the front's require_all path: the
+            # conjunctive accumulation sums terms in ascending-df order
+            # (query.py _search_all), and a term's one part holds ALL
+            # its postings, so this df is the global df
+            out[t] = None if ent is None else (*ent, self.idx.df_of(t))
         return out
 
     def term_doc_ids(self, terms: list[str]) -> dict:
@@ -259,24 +251,15 @@ class ShardWorker:
         postings in this range, or None only for true dictionary
         ABSENCE — the distinction matters at the front: an absent
         must-term empties the result globally, an empty fragment only
-        says no match in this range.  (score_term_range conflates the
-        two — it returns None for both — so absence is re-checked via
-        lookup here rather than leaving the front to rely on non-None
-        fragments overwriting a premature absent mark.)
+        says no match in this range.  The loader's cached decode is
+        None exactly on absence.
         The boolean-gate exchange of the term-sharded tier: must /
         exclude terms live on their owning shard, so the front fetches
         their global doc-id sets from here (cost = df ids, the same
         wire class as an ordinary scored term)."""
-        out = {}
-        for t in terms:
-            ent = self.idx.score_term_range(t)
-            if ent is not None:
-                out[t] = ent[0]
-            elif self.idx.lookup(t) is None:
-                out[t] = None                       # not in dictionary
-            else:
-                out[t] = np.empty(0, dtype=np.int64)  # empty in range
-        return out
+        decs = {t: self.idx._decoded(t) for t in terms}
+        return {t: None if dec is None else self.idx._doc_ids[dec[0]]
+                for t, dec in decs.items()}
 
     def facets_of(self, doc_ids, col: str, edges=None) -> list[tuple]:
         """Facet counts (histogram buckets when ``edges`` is given) of
@@ -289,6 +272,9 @@ class ShardWorker:
         if edges is None:
             return self.idx._value_counts(mask, col)
         return self.idx._bucket_counts(mask, col, edges)
+
+
+_MISS = object()    # cache-miss sentinel: None is a cached gate value
 
 
 class _Front:
@@ -323,15 +309,12 @@ class _Front:
         self._rr = 0
         # term -> sorted global int64 ids, or None for absent terms
         # (absence is worth caching too: an absent must-term empties
-        # every query that names it).  Plain LRU by insertion order.
-        # The lock guards the pop/reinsert LRU touch and the eviction
-        # loop: the LOCAL front is called concurrently by the threaded
-        # HTTP server (FrontWorker actors are single-threaded, where
-        # the lock is uncontended).  Mask building never needs it —
-        # gather snapshots set references before any eviction.
-        self._gate_cache: dict[str, np.ndarray | None] = {}
-        self._gate_cache_bytes = 0
-        self._gate_lock = threading.Lock()
+        # every query that names it; it costs a nominal 64 B).  The
+        # LOCAL front is called concurrently by the threaded HTTP
+        # server — the cache's own lock covers it.  A scatter plan
+        # holds the cached sets it found, so no later eviction can
+        # take them from its gather.
+        self._gate_cache = LRUCache(self.GATE_CACHE_BYTES)
 
     def _shard_of(self, term: str) -> int:
         return part_of(term, self.cfg) % self.n_shards
@@ -372,39 +355,19 @@ class _Front:
                 for ri in range(self.n_ranges)}
         gate = None
         if must_terms or ex_terms:
+            sets: dict[str, "np.ndarray | None"] = {}
             gate_by_shard: dict[int, list[str]] = {}
             for t in dict.fromkeys(must_terms + ex_terms):
-                with self._gate_lock:
-                    if t in self._gate_cache:   # cached set: no fetch
-                        self._gate_cache[t] = self._gate_cache.pop(t)
-                        continue
-                gate_by_shard.setdefault(self._shard_of(t), []).append(t)
+                v = self._gate_cache.get(t, _MISS)
+                if v is _MISS:
+                    gate_by_shard.setdefault(self._shard_of(t), []).append(t)
+                else:
+                    sets[t] = v                 # cached set: no fetch
             gfuts = [(ri, self._replica(si, ri).term_doc_ids.remote(ts))
                      for si, ts in gate_by_shard.items()
                      for ri in range(self.n_ranges)]
-            gate = (must_terms, ex_terms, gfuts)
+            gate = (must_terms, ex_terms, gfuts, sets)
         return terms, futs, gate, require_all
-
-    def _cache_gate(self, term: str, ids: "np.ndarray | None") -> None:
-        """Insert one gate set under the byte budget (oldest-out LRU;
-        absent terms cost a nominal 64 B — caching absence matters: an
-        absent must-term empties every query naming it).  A single set
-        larger than the whole budget is served but not cached."""
-        nb = 64 if ids is None else ids.nbytes
-        if nb > self.GATE_CACHE_BYTES:
-            return
-        with self._gate_lock:
-            old = self._gate_cache.pop(term, False)
-            if old is not False:
-                self._gate_cache_bytes -= (64 if old is None
-                                           else old.nbytes)
-            while (self._gate_cache_bytes + nb > self.GATE_CACHE_BYTES
-                   and self._gate_cache):
-                old = self._gate_cache.pop(next(iter(self._gate_cache)))
-                self._gate_cache_bytes -= (64 if old is None
-                                           else old.nbytes)
-            self._gate_cache[term] = ids
-            self._gate_cache_bytes += nb
 
     @staticmethod
     def _fragments(futs: dict) -> dict:
@@ -468,51 +431,22 @@ class _Front:
     def _gate_keep(self, gate, uniq: np.ndarray, keep):
         """AND the must / exclude gates of ``gate`` into ``keep`` (None
         = keep all) over the candidate ids ``uniq``."""
-        must_terms, ex_terms, gfuts = gate
-        # start from the front's cache (scatter skipped fetching
-        # cached terms), overlay freshly fetched sets
-        _MISS = object()
-        sets: dict[str, "np.ndarray | None"] = {}
-        for t in must_terms + ex_terms:
-            v = self._gate_cache.get(t, _MISS)
-            if v is not _MISS:
-                sets[t] = v
+        # the plan's cached sets, overlaid with the fetched ones
+        must_terms, ex_terms, gfuts, sets = gate
         if gfuts:
             res = ray.get([f for _, f in gfuts])
             per_term: dict[str, list] = {}
-            absent: set[str] = set()
             for i in sorted(range(len(gfuts)),
                             key=lambda j: gfuts[j][0]):  # range order
                 for t, tids in res[i].items():
-                    if tids is None:
-                        absent.add(t)
-                    else:
-                        per_term.setdefault(t, []).append(tids)
-            for t in absent:
-                sets[t] = None
-                self._cache_gate(t, None)
+                    per_term.setdefault(t, []).append(tids)
             for t, frs in per_term.items():
-                full = frs[0] if len(frs) == 1 else np.concatenate(frs)
+                # None (dictionary absence) comes from every range alike
+                full = (None if frs[0] is None else frs[0] if len(frs) == 1
+                        else np.concatenate(frs))
                 sets[t] = full
-                self._cache_gate(t, full)
-        for t in dict.fromkeys(must_terms + ex_terms):
-            if t not in sets:
-                # evicted between scatter's cache touch and here
-                # (concurrent fronts under a tiny budget — rare):
-                # one synchronous refetch; treating it as absent
-                # would wrongly EMPTY a must query
-                si = self._shard_of(t)
-                parts = ray.get(
-                    [self.shards[si][ri][0].term_doc_ids.remote([t])
-                     for ri in range(self.n_ranges)])
-                if all(p[t] is None for p in parts):
-                    full = None
-                else:
-                    frs = [p[t] for p in parts if p[t] is not None]
-                    full = (frs[0] if len(frs) == 1
-                            else np.concatenate(frs))
-                sets[t] = full
-                self._cache_gate(t, full)
+                self._gate_cache.put(t, full,
+                                     64 if full is None else full.nbytes)
 
         def member(sorted_ids: np.ndarray) -> np.ndarray:
             pos = np.searchsorted(sorted_ids, uniq)
@@ -882,34 +816,24 @@ class DocShardedQueryService:
         ray.get(self._submit("search", None, "", 1))  # warm
         self.cfg = EngineConfig.from_dict(
             index_io.load_manifest(index_dirs[0])["config"])
-        # bounded LRU (dict insertion order): the front's global-df
-        # memo otherwise grows with distinct query terms forever —
-        # the same unbounded-cache class the byte-budget decoded-term
-        # LRU fixed in engine/query.py
-        self._df_cache: dict[str, int] = {}
-        self.df_cache_max_terms = 1_000_000
+        # count-bounded LRU: the front's global-df memo otherwise grows
+        # with distinct query terms forever
+        self._df_cache = LRUCache(1_000_000)
         # ops probe: wire rows + rounds of the latest TA suggest call
         self.last_suggest_stats: dict = {}
 
     def _global_dfs(self, terms: list[str]) -> dict[str, int]:
-        missing = [t for t in terms if t not in self._df_cache]
+        out = {t: self._df_cache.get(t) for t in terms}
+        missing = [t for t, v in out.items() if v is None]
         if missing:
             per_shard = ray.get([w.term_dfs.remote(missing)
                                  for w in self.workers])
             for t in missing:
-                self._df_cache[t] = sum(d[t] for d in per_shard)
-        out = {}
+                out[t] = sum(d[t] for d in per_shard)
+        # put only after ``out`` holds every term: the puts then make
+        # this query's terms the newest entries, in query order
         for t in terms:
-            v = self._df_cache.pop(t)      # LRU touch: re-insert
-            self._df_cache[t] = v
-            out[t] = v
-        # evict only AFTER the current query's terms are touched — an
-        # eviction between insert and touch could pop one of THIS
-        # query's terms (it may be the oldest entry) and the touch
-        # would KeyError; post-touch, the query's terms are the newest
-        # entries and eviction (oldest-first) can never reach them
-        while len(self._df_cache) > self.df_cache_max_terms:
-            self._df_cache.pop(next(iter(self._df_cache)))
+            self._df_cache.put(t, out[t], 1)
         return out
 
     def _dfs(self, query: str) -> dict[str, int]:

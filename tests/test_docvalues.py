@@ -389,6 +389,53 @@ def test_doc_sharded_filtered_and_facets(dv_index, unit_webtext,
         svc.shutdown()
 
 
+def test_attach_whole_input_to_url_hash_half(dv_index, unit_webtext,
+                                            tmp_path_factory):
+    """A url-hash half built with the default docmeta parts fills only
+    the parts of its own residue.  Attaching the WHOLE raw input
+    (dedup='earliest') keeps just the half's own documents: no error,
+    one sidecar row per indexed doc, and filters, facets and snippets
+    answer exactly as after attaching the half's own rows."""
+    import pyarrow as pa
+    import ray.data
+    from engine import index_io
+    from engine.tokenize import stable_hash64
+
+    _, df = dv_index
+    cfg = EngineConfig(num_parts=8, store_positions=True)
+
+    def keep(batch: pa.Table) -> pa.Table:
+        urls = np.asarray(batch.column("url").to_pylist(), dtype=object)
+        return batch.filter(pa.array(stable_hash64(urls) % np.uint64(2)
+                                     == np.uint64(0)))
+    d = str(tmp_path_factory.mktemp("dvhalf") / "idx")
+    build_index(ray.data.read_parquet(unit_webtext,
+                                      columns=["url", "warc_ts", "html"])
+                .map_batches(keep, batch_format="pyarrow"), d, cfg)
+    assert not all(os.path.isdir(index_io.part_dir(d, "docmeta", p))
+                   for p in range(cfg.docmeta_parts))
+    half = df[(stable_hash64(df["url"].to_numpy(dtype=object))
+               % np.uint64(2)) == np.uint64(0)]
+    attach_doc_values(d, ray.data.from_pandas(
+        half[["url", "lang", "text"]].reset_index(drop=True)),
+        ["lang", "text"])
+
+    def answers():
+        idx = InvertedIndex(d)
+        hits = [h for h, _ in idx.search(QUERY, k=10)]
+        return (idx.search(QUERY, k=10, where=("lang", ("en",))),
+                idx.search(QUERY, k=10, where=("lang", ("de", "fr"))),
+                idx.facet_counts(QUERY, "lang"),
+                idx.snippets_of(QUERY, hits))
+
+    want = answers()
+    assert want[0] and any(s is not None for s in want[3])
+    m = attach_doc_values(d, unit_webtext, ["lang", "text"],
+                          dedup="earliest")
+    assert m["rows"] == InvertedIndex(d).n_docs
+    assert answers() == want
+
+
 def test_term_sharded_filtered(dv_index):
     """Term-sharded filtered search == local daat-with-mask, with the
     mask applied shard-side from each doc-range worker's own sidecar
@@ -764,11 +811,11 @@ def test_dv_mask_cache_is_bounded(dv_index):
     idx_dir, _ = dv_index
     idx = InvertedIndex(idx_dir)
     # one mask = n_docs bytes; budget of ~3 masks
-    idx.dv_mask_budget_bytes = 3 * idx._doc_ids.size
+    idx._dv_mask_cache.budget = 3 * idx._doc_ids.size
     first = idx.where_mask("lang", ("en",)).copy()
     for lo in range(40):                       # 40 distinct range tuples
         idx.range_mask("nlen", lo, lo + 100)
-    assert idx._dv_mask_bytes <= idx.dv_mask_budget_bytes
+    assert idx._dv_mask_cache.nbytes <= idx._dv_mask_cache.budget
     assert len(idx._dv_mask_cache) <= 3
     # evicted mask recomputes bit-identically
     np.testing.assert_array_equal(idx.where_mask("lang", ("en",)), first)
@@ -784,11 +831,11 @@ def test_df_cache_eviction_never_drops_current_query_terms():
     evict one of the CURRENT query's terms before the LRU touch and
     KeyError.  Exercised without Ray via an empty worker list (every
     missing term sums to df 0)."""
+    from engine.lru import LRUCache
     from engine.serve import DocShardedQueryService
     svc = DocShardedQueryService.__new__(DocShardedQueryService)
     svc.workers = []
-    svc._df_cache = {}
-    svc.df_cache_max_terms = 3
+    svc._df_cache = LRUCache(3)
     assert svc._global_dfs(["a", "b", "c"]) == {"a": 0, "b": 0, "c": 0}
     # 4 terms > cap, one of them ('a') is the oldest cache entry —
     # the old eviction-before-touch code raised KeyError here
@@ -824,6 +871,32 @@ def test_doc_range_public_search_is_range_restricted(dv_index):
             tot[v] = tot.get(v, 0) + n
     assert sorted(tot.items(), key=lambda t: (-t[1], t[0])) == \
         full.facet_counts(QUERY, "lang")
+
+
+def test_doc_range_phrase_is_range_restricted(dv_index):
+    """The positions decode on a doc-range loader drops out-of-range
+    entries (regression: their ids searchsorted past the range slice and
+    search_phrase raised IndexError).  Each half's phrase hits lie in
+    its range, and the halves' union is the full phrase result, with
+    and without slop."""
+    idx_dir, _ = dv_index
+    full = InvertedIndex(idx_dir)
+    mid = int(full._doc_ids[full._doc_ids.size // 2])
+    ranges = [(0, mid), (mid, 1 << 63)]
+    halves = [InvertedIndex(idx_dir, doc_range=r) for r in ranges]
+    n_hits = 0
+    for q in ("of the", "in the", "the data"):
+        for slop in (0, 2):
+            want = full.search_phrase(q, k=full.n_docs, slop=slop)
+            got = []
+            for h, (lo, hi) in zip(halves, ranges):
+                part = h.search_phrase(q, k=full.n_docs, slop=slop)
+                assert all(lo <= d < hi for d, _ in part)
+                got.extend(part)
+            got.sort(key=lambda t: (-t[1], t[0]))
+            assert got == want, (q, slop)
+            n_hits += len(want)
+    assert n_hits
 
 
 def test_facet_histogram_matches_oracle(dv_index):

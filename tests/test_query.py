@@ -136,15 +136,13 @@ def test_conjunctive_unknown_term_empties(index):
         index.search("the", 10, method="daat")
 
 
-def test_dense_equals_daat(index, frozen):
-    """Explicit dense score-array method: rank-identical with DAAT."""
-    queries, _ = frozen
-    for q in queries:
-        a = index.search(q, k=10, method="daat")
-        b = index.search(q, k=10, method="dense")
-        assert [d for d, _ in a] == [d for d, _ in b], q
-        for (_, sa), (_, sb) in zip(a, b):
-            assert sa == pytest.approx(sb, rel=1e-9)
+@pytest.mark.parametrize("method", ["dense", "foo", "BMW", ""])
+def test_unknown_method_raises(index, method):
+    """Only "bmw" and "daat" are search methods; anything else is an
+    error, not a silent fallback to bmw (k <= 0 included)."""
+    for k in (10, 0):
+        with pytest.raises(ValueError, match="method"):
+            index.search("the data", k, method=method)
 
 
 def test_suggest_matches_brute_force(index, e2e_webtext):

@@ -500,14 +500,14 @@ def test_front_gate_cache_eviction(ray_session, e2e_webtext,
         local = InvertedIndex(idx_dir)
         front = svc._local
         # tiny budget: every distinct gate term evicts the previous one
-        front.GATE_CACHE_BYTES = 1 << 10
+        front._gate_cache.budget = 1 << 10
         gates = [w for q in queries[:6] for w in q.split()][:8]
         for q in queries[:4]:
             for g in gates:
                 assert svc.search(q, k=10, exclude=g) == \
                     local.search(q, k=10, method="daat", exclude=g), \
                     (q, g)
-                assert front._gate_cache_bytes <= front.GATE_CACHE_BYTES
+                assert front._gate_cache.nbytes <= front._gate_cache.budget
         # absence is cached under the budget too
         svc.search(queries[0], k=10, exclude="zzz_unseen_term")
         assert front._gate_cache.get("zzz_unseen_term", False) is None \
