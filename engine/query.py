@@ -56,12 +56,23 @@ def terms_of(query: str, cfg: EngineConfig) -> list[str]:
     return list(dict.fromkeys(tokenize(query, cfg.cjk_unigrams)))
 
 
+def parts_of(terms: list[str], cfg: EngineConfig) -> list[int]:
+    """Terms -> their term-partition ids (the build's routing hash,
+    engine/build.py ``make_tokenize_partial``), with ONE hasher call for
+    the whole list: the call's fixed cost (~14 us for SipHash via
+    pandas) dwarfs the per-term work, so a request routes all of its
+    terms at once.  The hash is elementwise, so each id equals
+    ``part_of`` of that term alone.  The term-sharded tier derives
+    term -> shard from it."""
+    if not terms:
+        return []
+    return (HASH_FNS[cfg.term_hash](np.array(terms, dtype=object))
+            % np.uint64(cfg.num_parts)).tolist()
+
+
 def part_of(term: str, cfg: EngineConfig) -> int:
-    """Term -> its term-partition id (the build's routing hash); the
-    term-sharded tier derives term -> shard from it."""
-    hasher = HASH_FNS[cfg.term_hash]
-    return int(hasher(np.array([term], dtype=object))[0]
-               % np.uint64(cfg.num_parts))
+    """One term's ``parts_of``."""
+    return parts_of([term], cfg)[0]
 
 
 def weight_items(term_weights) -> list[tuple[str, float]]:
@@ -250,12 +261,15 @@ class InvertedIndex:
                   "skip_len")
 
     def _load_part(self, part: int):
-        """Part term dictionary as (sorted term array, numeric column
-        arrays).  The segment writer emits terms SORTED (factorize
-        sort=True in build, sorted k-way merge in merge_indexes), so
-        lookups are a binary search over the Arrow-loaded array — no
-        per-term Python dict build, which would cost seconds per part
-        at real web vocabularies (10^5-10^6 terms/part).  Sortedness is
+        """Part term dictionary as (sorted term array, 2-D int64 block
+        of the numeric columns: one row per term, ``_TERM_COLS`` plus
+        pos_off/pos_len on a positional segment, so a probe reads its
+        row with one ``tolist``).  The segment writer emits terms SORTED
+        (factorize sort=True in build, sorted k-way merge in
+        merge_indexes), so lookups are a binary search over the
+        Arrow-loaded array — no per-term Python dict build, which would
+        cost seconds per part at real web vocabularies (10^5-10^6
+        terms/part).  Sortedness is
         verified with one vectorized Arrow compare at load (fail-loud
         on a corrupt segment rather than silently missing terms)."""
         if part not in self._term_cache:
@@ -278,31 +292,65 @@ class InvertedIndex:
                 cols = list(self._TERM_COLS)
                 if "pos_off" in terms.column_names:  # positional segment
                     cols += ["pos_off", "pos_len"]
-                nums = tuple(terms.column(c).to_numpy() for c in cols)
+                nums = np.column_stack(
+                    [terms.column(c).to_numpy() for c in cols]
+                ).astype(np.int64, copy=False)
                 self._term_cache[part] = (term_arr, nums)
                 self._blob_cache[part] = (postings, skips)
         return self._term_cache[part], *self._blob_cache[part]
 
-    def _term_row(self, part_entry, term: str):
-        """Binary-search probe -> (df, cf, po, pl, so, sl) or None."""
-        if part_entry is None:
+    def _term_row(self, part: int, term: str):
+        """Binary-search probe of ``part``'s dictionary -> [df, cf, po,
+        pl, so, sl] (+ [qo, ql] on a positional segment) or None."""
+        entry = self._load_part(part)[0]
+        if entry is None:
             return None
-        term_arr, nums = part_entry
-        i = int(np.searchsorted(term_arr, term))
+        term_arr, nums = entry
+        i = int(term_arr.searchsorted(term))
         if i >= term_arr.size or term_arr[i] != term:
             return None
-        return tuple(int(col[i]) for col in nums)
+        return nums[i].tolist()
+
+    def _router(self, terms: list[str]):
+        """-> ``route(term) -> part`` over one request's ``terms``.  The
+        first call hashes ALL of them with one ``parts_of`` call, so a
+        request makes at most one hasher call, and none when the
+        decoded caches answer every term."""
+        parts: dict[str, int] = {}
+
+        def route(term: str) -> int:
+            if not parts:
+                parts.update(zip(terms, parts_of(terms, self.cfg)))
+            return parts[term]
+        return route
+
+    def _lookup(self, term: str, route=None, positions: bool = False):
+        """``lookup`` (``lookup_positions`` with ``positions``) with the
+        term routed by ``route`` (a request's ``_router``), or by its
+        own ``part_of`` hash when None."""
+        part = part_of(term, self.cfg) if route is None else route(term)
+        row = self._term_row(part, term)
+        if row is None:
+            return None
+        _, postings, skips = self._load_part(part)
+        df, _, po, pl, so, sl = row[:6]
+        out = (df, postings[po:po + pl], decode_skips(skips[so:so + sl]))
+        if not positions:
+            return out
+        if len(row) < 8:
+            raise ValueError(
+                "phrase search needs a positional index — rebuild with "
+                "EngineConfig(store_positions=True)")
+        qo, ql = row[6:]
+        return out + (self._positions_blob(part)[qo:qo + ql],)
 
     def lookup(self, term: str):
-        """term -> (df, postings bytes, skips ndarray) or None."""
-        entry, postings, skips = self._load_part(part_of(term, self.cfg))
-        ent = self._term_row(entry, term)
-        if ent is None:
-            return None
-        df, cf, po, pl, so, sl = ent[:6]
-        return df, postings[po:po + pl], decode_skips(skips[so:so + sl])
+        """term -> (df, postings bytes, skips ndarray) or None.  Always
+        hashes the term (one hasher call) and probes its part's
+        dictionary; it never reads the decoded cache."""
+        return self._lookup(term)
 
-    def _decode_term_positions(self, term: str):
+    def _decode_term_positions(self, term: str, route):
         """Phrase-match state for one term -> (docID-run positions,
         tfs, raw varbyte positions blob, per-entry byte offsets, eidx),
         cached in a byte-budget LRU of its own.
@@ -317,11 +365,12 @@ class InvertedIndex:
         positions — more phrase terms stay resident in the same budget.
         ``eidx`` maps kept entries to original entry indices when a
         tombstone overlay or the loader's ``doc_range`` dropped some
-        (None otherwise)."""
+        (None otherwise).  A positions-cache hit routes and probes
+        nothing; a miss routes with ``route`` as in ``_lookup``."""
         hit = self._positions_cache.get(term)
         if hit is not None:
             return hit
-        ent = self.lookup_positions(term)
+        ent = self._lookup(term, route, positions=True)
         if ent is None:
             return None
         df, pbytes, skips, pblob = ent
@@ -361,25 +410,19 @@ class InvertedIndex:
     def lookup_positions(self, term: str):
         """term -> (df, postings bytes, skips, positions bytes) or None.
         Raises on an index built without ``store_positions=True``."""
-        part = part_of(term, self.cfg)
-        entry, postings, skips = self._load_part(part)
-        ent = self._term_row(entry, term)
-        if ent is None:
-            return None
-        if len(ent) < 8:
-            raise ValueError(
-                "phrase search needs a positional index — rebuild with "
-                "EngineConfig(store_positions=True)")
-        df, cf, po, pl, so, sl, qo, ql = ent
-        return (df, postings[po:po + pl], decode_skips(skips[so:so + sl]),
-                self._positions_blob(part)[qo:qo + ql])
+        return self._lookup(term, positions=True)
 
     def df_of(self, term: str) -> int:
         """Local document frequency (0 if absent) — the term-dictionary
         probe of the distributed-stats exchange; no posting decode."""
-        entry, _, _ = self._load_part(part_of(term, self.cfg))
-        ent = self._term_row(entry, term)
-        return 0 if ent is None else int(ent[0])
+        return self.dfs_of([term])[0]
+
+    def dfs_of(self, terms: list[str], route=None) -> list[int]:
+        """``df_of`` of each term, all routed by one hasher call (or by
+        ``route``, a request's ``_router`` shared with its decodes)."""
+        route = route or self._router(terms)
+        return [0 if row is None else row[0]
+                for row in (self._term_row(route(t), t) for t in terms)]
 
     # -- scoring ------------------------------------------------------------
     def idf(self, df: int) -> float:
@@ -484,7 +527,7 @@ class InvertedIndex:
             hi = int(np.searchsorted(term_arr, hi_key))
             if hi <= lo:
                 continue
-            dfs = nums[0][lo:hi]
+            dfs = nums[lo:hi, 0]
             terms = term_arr[lo:hi]
             if dfs.size > k:
                 kth = np.partition(dfs, dfs.size - k)[dfs.size - k]
@@ -543,27 +586,36 @@ class InvertedIndex:
                                     must, exclude, where, where_range)
         return 0 if matched is None else int(matched.sum())
 
-    def _decoded(self, term: str):
+    def _decoded(self, term: str, route=None):
         """One term's full decode -> (pos, scores), or None when the
-        term is absent.  Scores use the GLOBAL (overridden) idf, as in
-        search(): mask-only callers ignore them, but the decode CACHES
-        them — the local df would poison the cache for scored searches
-        on a doc-range shard."""
-        e = self.lookup(term)
+        term is absent.  Reads the decoded cache FIRST: a hit returns
+        with no routing hash and no dictionary probe (the cached scores
+        already carry the global idf — a df override evicts the term).
+        A miss routes the term with ``route`` (the request's
+        ``_router``; its own ``part_of`` hash when None), probes the
+        dictionary and decodes.  Scores use the GLOBAL (overridden)
+        idf, as in search(): mask-only callers ignore them, but the
+        decode CACHES them — the local df would poison the cache for
+        scored searches on a doc-range shard."""
+        hit = self._postings_cache.get(term)
+        if hit is not None:
+            return hit
+        e = self._lookup(term, route)
         if e is None:
             return None
         df, pbytes, skips = e
         return self._decode_term(term, df, pbytes, skips,
                                  self.idf(self._df_overrides.get(term, df)))
 
-    def _match_mask(self, terms: list[str],
-                    require_all: bool = False) -> np.ndarray | None:
+    def _match_mask(self, terms: list[str], require_all: bool,
+                    route) -> np.ndarray | None:
         """Boolean match set over ``_doc_ids`` positions: docs holding
         >=1 of ``terms`` (every term under ``require_all``); None when
-        nothing can match.  A fresh array — callers may mutate."""
+        nothing can match.  A fresh array — callers may mutate.
+        ``route``: the request's ``_router``."""
         matched = None
         for t in terms:
-            dec = self._decoded(t)
+            dec = self._decoded(t, route)
             if dec is None:
                 if require_all:
                     return None
@@ -587,16 +639,17 @@ class InvertedIndex:
         """match set & must & exclude & where & where_range; None when
         nothing can match (an absent must-term empties the set, as in
         search)."""
-        matched = self._match_mask(terms, require_all)
+        must_t, ex_t, route = self._clause_terms(terms, must, exclude)
+        matched = self._match_mask(terms, require_all, route)
         if matched is None:
             return None
         if must:
-            mm = self._must_mask(must)
+            mm = self._must_mask(must_t, route)
             if mm is None:
                 return None
             matched &= mm
         keep = self._filter_mask(where, where_range, self._exclude_mask(
-            exclude) if exclude else None)
+            ex_t, route) if exclude else None)
         if keep is not None:
             matched &= keep
         return matched
@@ -712,18 +765,19 @@ class InvertedIndex:
                 f"unknown search method {method!r} (use 'bmw' or 'daat')")
         if k <= 0:
             return []
+        terms = self.query_terms(query)
+        must_t, ex_t, route = self._clause_terms(terms, must, exclude)
         ex_mask = None
         if exclude:
-            ex_mask = self._exclude_mask(exclude)
+            ex_mask = self._exclude_mask(ex_t, route)
         must_mask = None
         if must:
-            must_mask = self._must_mask(must)
+            must_mask = self._must_mask(must_t, route)
             if must_mask is None:
                 return []
-        terms = self.query_terms(query)
         entries = []
         for t in terms:
-            e = self.lookup(t)
+            e = self._lookup(t, route)
             if e is None:
                 if require_all:
                     return []
@@ -768,8 +822,11 @@ class InvertedIndex:
         reference's learned-sparse embedders (EmbedAnything scores
         sparse query/document term-weight dot products,
         rust/src/embeddings/local/bert.rs:379-396, examples/splade.py:
-        37-48); with weights all 1.0 it degrades to ``search(...,
-        method="daat")`` exactly.
+        37-48).  With weights all 1.0 it is ``search(...,
+        method="daat")`` up to float addition order: it sums a
+        document's term scores in ascending global df order (below),
+        daat in query order, so a score can differ from daat's in the
+        last bits (and a near-tie can order differently).
 
         ``term_weights``: dict term -> weight, or iterable of
         (term, weight).  Terms are looked up verbatim (callers supply
@@ -788,23 +845,23 @@ class InvertedIndex:
         compose with AND)."""
         if k <= 0:
             return []
+        items = weight_items(term_weights)
+        route = self._router([t for t, _ in items])
         entries = []
-        for term, w in weight_items(term_weights):
-            e = self.lookup(term)
-            if e is None:
-                continue
-            df, pbytes, skips = e
-            entries.append(
-                (term, self._df_overrides.get(term, df), df, w,
-                 pbytes, skips))
+        for term, w in items:
+            # only the df is read here: a cached term's postings are
+            # never sliced or decoded
+            row = self._term_row(route(term), term)
+            if row is not None:
+                entries.append(
+                    (self._df_overrides.get(term, row[0]), term, w))
         if not entries:
             return []
-        entries.sort(key=lambda e: (e[1], e[0]))  # global df asc, term
+        entries.sort(key=lambda e: e[:2])  # global df asc, term
 
         def runs():
-            for term, gdf, df, w, pbytes, skips in entries:
-                pos, s = self._decode_term(term, df, pbytes, skips,
-                                           self.idf(gdf))
+            for _, term, w in entries:
+                pos, s = self._decoded(term, route)
                 yield pos, w * s
         return self._accumulate_topk(runs(), k,
                                      self._filter_mask(where, where_range))
@@ -822,20 +879,28 @@ class InvertedIndex:
                                     where_range=where_range)
         return 0 if matched is None else int(matched.sum())
 
-    def _must_mask(self, must: str) -> np.ndarray | None:
+    def _clause_terms(self, terms: list[str], must: str | None,
+                      exclude: str | None):
+        """-> (must terms, exclude terms, one ``_router`` over those and
+        ``terms``): a request's every term routed by one hasher call."""
+        must_t = self.query_terms(must) if must else []
+        ex_t = self.query_terms(exclude) if exclude else []
+        return must_t, ex_t, self._router(terms + must_t + ex_t)
+
+    def _must_mask(self, terms: list[str], route) -> np.ndarray | None:
         """Keep-mask that is True only for documents containing EVERY
-        must-term; None when a must-term is absent from the index (the
-        boolean-AND empty rule)."""
-        terms = self.query_terms(must)
+        must-term (``terms``: the analyzed must clause); None when a
+        must-term is absent from the index (the boolean-AND empty
+        rule)."""
         if not terms:
             return np.ones(self._doc_ids.size, dtype=bool)
-        return self._match_mask(terms, require_all=True)
+        return self._match_mask(terms, True, route)
 
-    def _exclude_mask(self, exclude: str) -> np.ndarray:
+    def _exclude_mask(self, terms: list[str], route) -> np.ndarray:
         """Keep-mask that is False for documents containing ANY of the
-        excluded query's terms (decoded through the same score cache —
+        excluded terms (decoded through the same score cache —
         positions are what the mask needs; scores along for the ride)."""
-        hit = self._match_mask(self.query_terms(exclude))
+        hit = self._match_mask(terms, False, route)
         return np.ones(self._doc_ids.size, dtype=bool) if hit is None \
             else ~hit
 
@@ -873,9 +938,10 @@ class InvertedIndex:
         if not toks:
             return []
         uniq = list(dict.fromkeys(toks))
+        _, ex_t, route = self._clause_terms(uniq, None, exclude)
         runs: dict[str, tuple] = {}
         for t in uniq:
-            dec = self._decode_term_positions(t)
+            dec = self._decode_term_positions(t, route)
             if dec is None:
                 return []
             runs[t] = dec                       # (pos run, tfs, tokpos)
@@ -890,7 +956,7 @@ class InvertedIndex:
                 if where is not None:
                     inter = inter[self.where_mask(*where)[inter]]
                 if exclude:
-                    inter = inter[self._exclude_mask(exclude)[inter]]
+                    inter = inter[self._exclude_mask(ex_t, route)[inter]]
             else:
                 inter = np.intersect1d(inter, p, assume_unique=True)
             if inter.size == 0:
@@ -908,7 +974,7 @@ class InvertedIndex:
         # to <=2x the all-at-once gather (geometric chunk sum).
         cscores = np.zeros(inter.size, dtype=np.float64)
         for t in uniq:
-            pos, s = self._decoded(t)
+            pos, s = self._decoded(t, route)
             cscores += s[np.searchsorted(pos, inter)]
         order = np.lexsort((inter, -cscores))
         out: list[tuple[int, float]] = []
@@ -1226,12 +1292,13 @@ class InvertedIndex:
         return slot[hit], self._term_score(tfs[hit],
                                            self._doclen_of(ids[hit]), idf)
 
-    def score_term_range(self, term: str):
+    def score_term_range(self, term: str, route=None):
         """-> (doc_ids, bm25 scores) of this loader's ``doc_range`` (full
         postings when no range is set), scored with the global
         (overridden) idf; None when the term is absent or has no live
-        posting here.  The same cached decode as every scorer."""
-        dec = self._decoded(term)
+        posting here.  The same cached decode as every scorer
+        (``route``: as in ``_decoded``)."""
+        dec = self._decoded(term, route)
         if dec is None or dec[0].size == 0:
             return None
         return self._doc_ids[dec[0]], dec[1]

@@ -56,7 +56,7 @@ import ray
 from engine import index_io
 from engine.config import EngineConfig
 from engine.lru import LRUCache
-from engine.query import InvertedIndex, part_of, terms_of, weight_items
+from engine.query import InvertedIndex, parts_of, terms_of, weight_items
 from engine.tokenize import stable_hash64
 
 
@@ -233,8 +233,10 @@ class ShardWorker:
         also shrink the bytes on the wire."""
         out = {}
         mask = self.idx._filter_mask(where, where_range)
-        for t in terms:
-            ent = self.idx.score_term_range(t)
+        # one routing hash serves every term's df probe and decode
+        route = self.idx._router(terms)
+        for t, df in zip(terms, self.idx.dfs_of(terms, route)):
+            ent = self.idx.score_term_range(t, route)
             if ent is not None and mask is not None:
                 keep = mask[self.idx._held(ent[0])[0]]
                 ent = (ent[0][keep], ent[1][keep]) if keep.any() else None
@@ -242,7 +244,7 @@ class ShardWorker:
             # conjunctive accumulation sums terms in ascending-df order
             # (query.py _search_all), and a term's one part holds ALL
             # its postings, so this df is the global df
-            out[t] = None if ent is None else (*ent, self.idx.df_of(t))
+            out[t] = None if ent is None else (*ent, df)
         return out
 
     def term_doc_ids(self, terms: list[str]) -> dict:
@@ -257,7 +259,8 @@ class ShardWorker:
         exclude terms live on their owning shard, so the front fetches
         their global doc-id sets from here (cost = df ids, the same
         wire class as an ordinary scored term)."""
-        decs = {t: self.idx._decoded(t) for t in terms}
+        route = self.idx._router(terms)
+        decs = {t: self.idx._decoded(t, route) for t in terms}
         return {t: None if dec is None else self.idx._doc_ids[dec[0]]
                 for t, dec in decs.items()}
 
@@ -316,8 +319,11 @@ class _Front:
         # take them from its gather.
         self._gate_cache = LRUCache(self.GATE_CACHE_BYTES)
 
-    def _shard_of(self, term: str) -> int:
-        return part_of(term, self.cfg) % self.n_shards
+    def _shards_of(self, terms: list[str]) -> dict[str, int]:
+        """term -> owning term shard for all of one request's terms,
+        routed by one hasher call."""
+        return {t: p % self.n_shards
+                for t, p in zip(terms, parts_of(terms, self.cfg))}
 
     def _replica(self, si: int, ri: int):
         replicas = self.shards[si][ri]
@@ -325,9 +331,12 @@ class _Front:
 
     def _scatter(self, terms: list[str], where: tuple | None = None,
                  where_range: tuple | None = None, must: str | None = None,
-                 exclude: str | None = None, require_all: bool = False):
+                 exclude: str | None = None, require_all: bool = False,
+                 shard: dict | None = None):
         """Submit score_terms futures for distinct ``terms`` (no
-        blocking) -> plan, or None when there is no term.
+        blocking) -> plan, or None when there is no term.  ``shard``:
+        the request's ``_shards_of`` when the caller already routed
+        every term this scatter names (one routing hash per request).
 
         ``where`` / ``where_range`` apply SHARD-SIDE: each doc-range
         worker masks its scored fragments with its own sidecar slice
@@ -345,9 +354,11 @@ class _Front:
             return None
         must_terms = terms_of(must, self.cfg) if must else []
         ex_terms = terms_of(exclude, self.cfg) if exclude else []
+        if shard is None:
+            shard = self._shards_of(terms + must_terms + ex_terms)
         by_shard: dict[int, list[str]] = {}
         for t in terms:
-            by_shard.setdefault(self._shard_of(t), []).append(t)
+            by_shard.setdefault(shard[t], []).append(t)
         self._rr += 1
         futs = {(si, ri): self._replica(si, ri).score_terms.remote(
                     ts, where, where_range)
@@ -360,7 +371,7 @@ class _Front:
             for t in dict.fromkeys(must_terms + ex_terms):
                 v = self._gate_cache.get(t, _MISS)
                 if v is _MISS:
-                    gate_by_shard.setdefault(self._shard_of(t), []).append(t)
+                    gate_by_shard.setdefault(shard[t], []).append(t)
                 else:
                     sets[t] = v                 # cached set: no fetch
             gfuts = [(ri, self._replica(si, ri).term_doc_ids.remote(ts))
@@ -477,14 +488,16 @@ class _Front:
         the same decode order + float accumulation as the gather, so
         results stay bit-identical."""
         terms = terms_of(query, self.cfg)
-        shards = {self._shard_of(t) for t in terms}
-        if len(shards) == 1 and self.n_ranges == 1 and not any(
-                gates.values()):
+        if any(gates.values()):
+            return self._scatter(terms, where, where_range, **gates)
+        shard = self._shards_of(terms)
+        shards = set(shard.values())
+        if len(shards) == 1 and self.n_ranges == 1:
             self._rr += 1
             return self._replica(shards.pop(), 0).call.remote(
                 "search", query, k, method="daat", where=where,
                 where_range=where_range)
-        return self._scatter(terms, where, where_range, **gates)
+        return self._scatter(terms, where, where_range, shard=shard)
 
     def _finish(self, plan, k: int):
         if isinstance(plan, ray.ObjectRef):
@@ -762,7 +775,7 @@ class DocShardWorker:
         return getattr(self.idx, name)(*args, **kwargs)
 
     def term_dfs(self, terms: list[str]) -> dict[str, int]:
-        return {t: self.idx.df_of(t) for t in terms}
+        return dict(zip(terms, self.idx.dfs_of(terms)))
 
 
 class DocShardedQueryService:
