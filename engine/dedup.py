@@ -282,71 +282,26 @@ def verify_jaccard(
     id_col: str = "doc_id",
     text_col: str = "text",
     hash_fn: str = "sip",
-    mode: str = "grouped",
-    n_buckets: int = 64,
 ) -> pd.DataFrame:
     """Exact shingle-Jaccard for candidate pairs -> (id_a, id_b, jaccard)
-    filtered to >= threshold, sorted by (id_a, id_b).
+    filtered to >= threshold, sorted by (id_a, id_b), where jaccard is
+    |A∩B| / |A∪B| over the two docs' unique shingle hashes, round(j, 6).
 
-    ``mode="grouped"`` (default, the at-scale path): each pair is
-    hash-bucketed on id_a; every needed doc's shingle set is emitted
-    from the corpus scan into exactly the buckets whose pairs reference
-    it (membership via one broadcast searchsorted — the request table is
-    pair-sized, the shingle sets are not); verification runs vectorized
-    (numpy set intersections on unique-sorted hash arrays) inside
-    ``groupby(bucket).map_groups``.  The corpus-side shingle sets never
-    reach the driver — only the verified pairs do.
-
-    ``mode="broadcast"``: legacy path collecting ALL candidate docs'
-    shingle sets into one driver dict — kept for bit-identity testing;
-    its working set grows with the candidate-doc count, which at web
-    scale can exceed driver memory.
-
-    Both modes produce identical (id_a, id_b, jaccard) values: same
-    unique-shingle sets, same |A∩B| / |A∪B| integer ratio, same
-    round(j, 6).  Degenerate corner: a pair BOTH of whose docs are
-    absent from the corpus is reported (j=0.0) only by broadcast mode
-    when threshold <= 0; grouped mode never materializes such pairs.
+    Each pair is hash-bucketed on id_a; every needed doc's shingle set
+    is emitted from the corpus scan into exactly the buckets whose pairs
+    reference it (membership via one broadcast searchsorted — the
+    request table is pair-sized, the shingle sets are not); verification
+    runs vectorized (numpy set intersections on unique-sorted hash
+    arrays) inside ``groupby(bucket).map_groups``.  The corpus-side
+    shingle sets never reach the driver — only the verified pairs do.
     """
-    if mode not in ("grouped", "broadcast"):
-        raise ValueError(f"mode must be 'grouped' or 'broadcast': {mode!r}")
     if not len(pairs):
         return pd.DataFrame({"id_a": [], "id_b": [], "jaccard": []})
+    import ray
+
     pa_ids = pairs["id_a"].to_numpy().astype(np.int64)
     pb_ids = pairs["id_b"].to_numpy().astype(np.int64)
-    wanted = np.unique(np.concatenate((pa_ids, pb_ids)))
-
-    if mode == "broadcast":
-        def shingles_of(batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_numpy().astype(np.int64)
-            sub = batch.filter(pa.array(np.isin(ids, wanted)))
-            toks = tokenize_batch(sub.column(text_col).to_pylist())
-            return pa.table({
-                id_col: sub.column(id_col),
-                "shingles": pa.array(
-                    [shingle_hashes(t, shingle_k, hash_fn)
-                     .astype(np.int64).tolist()
-                     for t in toks],
-                    pa.large_list(pa.int64())),
-            })
-
-        sh_tab = (docs.map_batches(shingles_of, batch_format="pyarrow")
-                  .to_pandas())
-        sets = dict(zip(sh_tab[id_col].astype(int),
-                        (set(s) for s in sh_tab["shingles"])))
-        out = []
-        for a, b in zip(pa_ids, pb_ids):
-            sa, sb = sets.get(int(a), set()), sets.get(int(b), set())
-            union = len(sa | sb)
-            j = (len(sa & sb) / union) if union else 0.0
-            if j >= threshold:
-                out.append((int(a), int(b), round(j, 6)))
-        res = pd.DataFrame(out, columns=["id_a", "id_b", "jaccard"])
-        return (res.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-                if len(res) else res)
-
-    # --- grouped (distributed) path ---------------------------------------
-    import ray
+    n_buckets = 64
 
     bkt = (_splitmix64(pa_ids.astype(np.uint64))
            % np.uint64(n_buckets)).astype(np.int64)
@@ -802,7 +757,6 @@ def neardup_dedup(
     cc: str = "driver",
     edge_mode: str = "pairs",
     max_group: int | None = None,
-    verify_mode: str = "grouped",
 ) -> pd.DataFrame:
     """The operator a training-data user actually runs: MinHash-LSH
     candidates -> exact Jaccard verify (>= threshold) -> connected
@@ -843,7 +797,7 @@ def neardup_dedup(
                               text_col, hash_fn, band_mode,
                               max_group=max_group, edge_mode=edge_mode)
     ver = verify_jaccard(docs, cand, threshold, shingle_k, id_col,
-                         text_col, hash_fn, mode=verify_mode)
+                         text_col, hash_fn)
     if cc == "distributed":
         return connected_components(ver)
     parent: dict[int, int] = {}

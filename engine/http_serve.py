@@ -232,6 +232,11 @@ class EngineHttpServer:
                                            "invalid_request_error",
                                            "bad_json"))
                     return
+                if not isinstance(req, dict):
+                    self._send(400, _error("JSON body must be an object",
+                                           "invalid_request_error",
+                                           "invalid_request"))
+                    return
                 if self.path == "/v1/embeddings":
                     self._send(*outer._embeddings(req))
                 elif self.path == "/v1/search":
@@ -303,6 +308,9 @@ class EngineHttpServer:
             return 400, _error("no index mounted", "invalid_request_error",
                                "no_index")
         query = req.get("query", "")
+        if not isinstance(query, str):
+            return 400, _error("query must be a string",
+                               "invalid_request_error", "invalid_request")
         try:
             k = int(req.get("k", 10))
             # offset=N pages past the first N hits: any backend's
@@ -325,6 +333,10 @@ class EngineHttpServer:
         where = None
         flt = req.get("filter")
         if flt:
+            if not isinstance(flt, dict) or "col" not in flt:
+                return 400, _error(
+                    'filter must be an object {"col": ..., "values": [...]}',
+                    "invalid_request_error", "invalid_request")
             vals = flt.get("values", flt.get("value"))
             if not isinstance(vals, (list, tuple)):
                 vals = [vals]

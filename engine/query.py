@@ -15,6 +15,18 @@ Scoring (BASELINE.md §2; float64 throughout, ties broken doc_id asc):
     s(t, d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * dl/avgdl))
     score(q, d) = sum over DISTINCT query terms of s(t, d)
 
+Sum order.  Float addition is not associative, so the order in which a
+document's term scores are added is part of the answer.  Every exact
+scorer (daat, the filtered and AND routes, ``search_weighted``) and
+the term-sharded front (engine/serve.py) add them in ascending
+(global df, term) order, the one key of ``sum_order``.  So
+``search(method="daat")`` equals ``search_weighted`` with every weight
+1.0 bit for bit, and every serving tier equals the local engine.  Two
+paths keep their own order on purpose: ``method="bmw"`` adds in
+descending upper-bound order, which its pruning needs (ranks stay
+identical, scores agree to the last bits), and ``search_phrase`` adds
+in first-occurrence order, which spares each phrase term the df probe.
+
 Two execution strategies, rank-identical by construction/tests:
   * ``method="daat"`` — exhaustive document-at-a-time, fully vectorized
     (decode all postings for the query terms, dense per-position
@@ -73,6 +85,14 @@ def parts_of(terms: list[str], cfg: EngineConfig) -> list[int]:
 def part_of(term: str, cfg: EngineConfig) -> int:
     """One term's ``parts_of``."""
     return parts_of([term], cfg)[0]
+
+
+def sum_order(entries, gdf) -> list:
+    """``entries`` (tuples led by their term) in the one order an exact
+    scorer adds a document's term scores: ascending (global df, term),
+    where ``gdf(entry)`` is the entry's global df.  The sort is stable,
+    so a term repeated in a weighted query keeps its input order."""
+    return sorted(entries, key=lambda e: (gdf(e), e[0]))
 
 
 def weight_items(term_weights) -> list[tuple[str, float]]:
@@ -789,6 +809,8 @@ class InvertedIndex:
             entries.append((t, df, idf, pbytes, skips))
         if not entries:
             return []
+        entries = sum_order(entries,
+                            lambda e: self._df_overrides.get(e[0], e[1]))
         mask = self._filter_mask(where, where_range, ex_mask, must_mask)
         if require_all:
             return self._search_all(entries, k, mask)
@@ -797,7 +819,9 @@ class InvertedIndex:
             return self._search_filtered(entries, k, mask)
         if method == "bmw":
             return self._search_bmw(entries, k, mask)
-        return self._search_daat(entries, k, mask)
+        return self._accumulate_topk(
+            (self._decode_term(t, df, pbytes, skips, idf)
+             for t, df, idf, pbytes, skips in entries), k, mask)
 
     def _filter_mask(self, where: tuple | None = None,
                      where_range: tuple | None = None, *masks):
@@ -822,20 +846,13 @@ class InvertedIndex:
         reference's learned-sparse embedders (EmbedAnything scores
         sparse query/document term-weight dot products,
         rust/src/embeddings/local/bert.rs:379-396, examples/splade.py:
-        37-48).  With weights all 1.0 it is ``search(...,
-        method="daat")`` up to float addition order: it sums a
-        document's term scores in ascending global df order (below),
-        daat in query order, so a score can differ from daat's in the
-        last bits (and a near-tie can order differently).
+        37-48).  With weights all 1.0 it is bit-identical to
+        ``search(..., method="daat")``.
 
         ``term_weights``: dict term -> weight, or iterable of
         (term, weight).  Terms are looked up verbatim (callers supply
         already-analyzed terms, the learned-sparse contract); unknown
         terms contribute nothing; weight 0 terms are skipped.
-        Accumulation walks terms in ascending (overridden) df order —
-        the same order rule as ``_search_all`` — so doc-range shards
-        with global-stats overrides stay bit-identical to one global
-        index.
 
         ``where=(col, values)`` / ``where_range=(col, lo, hi)`` are the
         doc-values filters (tenant-filtered sparse retrieval): the mask
@@ -854,13 +871,12 @@ class InvertedIndex:
             row = self._term_row(route(term), term)
             if row is not None:
                 entries.append(
-                    (self._df_overrides.get(term, row[0]), term, w))
+                    (term, w, self._df_overrides.get(term, row[0])))
         if not entries:
             return []
-        entries.sort(key=lambda e: e[:2])  # global df asc, term
 
         def runs():
-            for _, term, w in entries:
+            for term, w, _ in sum_order(entries, lambda e: e[2]):
                 pos, s = self._decoded(term, route)
                 yield pos, w * s
         return self._accumulate_topk(runs(), k,
@@ -1070,18 +1086,9 @@ class InvertedIndex:
         is a linear merge bounded by the RAREST term's df — the
         candidate set only shrinks, with an early exit on empty).
         Per-term scores for the survivors are gathered by searchsorted
-        into each term's own run, then summed in ascending-df order.
-        ``mask`` (doc-values filter) is applied to the rarest run before
-        the merge, so it only ever shrinks the candidate set.
-
-        The sum order sorts by the OVERRIDDEN df when global-stats
-        overrides are active (doc-sharded serving): every shard then
-        adds per-doc scores in the same global-df order as one global
-        index would, keeping merged conjunctive results bit-identical.
-        Without overrides the key is the local df — unchanged."""
-        entries = sorted(
-            entries,
-            key=lambda e: self._df_overrides.get(e[0], e[1]))  # df asc
+        into each term's own run and summed.  ``mask`` (doc-values
+        filter) is applied to the rarest run before the merge, so it
+        only ever shrinks the candidate set."""
         decoded = []
         inter = None
         for term, df, idf, pbytes, skips in entries:
@@ -1119,15 +1126,6 @@ class InvertedIndex:
         # rank by (score desc, doc_id asc): lexsort keys last = primary
         order = np.lexsort((doc_ids, -scores))[:k]
         return [(int(doc_ids[i]), float(scores[i])) for i in order]
-
-    def _search_daat(self, entries, k: int, mask: np.ndarray | None = None):
-        """Exhaustive: decode every posting of every query term and sum
-        the terms in query order.  ``mask`` (doc-values filter) drops
-        non-matching candidates before the top-k cut; scores are
-        unchanged (global stats)."""
-        return self._accumulate_topk(
-            (self._decode_term(t, df, pbytes, skips, idf)
-             for t, df, idf, pbytes, skips in entries), k, mask)
 
     def _accumulate_topk(self, runs, k: int,
                          mask: np.ndarray | None = None):
@@ -1169,10 +1167,10 @@ class InvertedIndex:
           warm for later queries).
 
         Accumulation is a dense array over the CANDIDATES (O(matches)
-        per term), in the same term order and with the same unique-
-        position buffered adds as `_search_daat`, so sums, scores and
-        tie-breaks are BIT-identical to daat-with-mask (pytest pins
-        this on random clause compositions at both cutoff extremes).
+        per term) with the same unique-position buffered adds as daat,
+        so sums, scores and tie-breaks are BIT-identical to
+        daat-with-mask (pytest pins this on random clause compositions
+        at both cutoff extremes).
         The win case is the selective filter on a large tier — a
         per-tenant `where` at 10^-3 density decodes a few blocks per
         stopword instead of the term's whole multi-MB run."""
@@ -1329,10 +1327,9 @@ class InvertedIndex:
         the kth-best over FILTER CANDIDATES and phase B never touches a
         non-candidate.  A block's unfiltered upper bound bounds every
         doc in the block, hence also its masked subset — pruning
-        decisions stay exact for any mask.  Ranks match
-        ``_search_daat(entries, k, mask)`` exactly; per-doc sums agree
-        to float addition order (UB-descending here vs query order
-        there), the same contract as the unfiltered bmw/daat pair.
+        decisions stay exact for any mask.  Ranks match daat with the
+        same mask; per-doc sums agree to float addition order
+        (UB-descending here), as in the unfiltered bmw/daat pair.
         """
         k1, b = self.cfg.k1, self.cfg.b
         terms = []

@@ -56,7 +56,8 @@ import ray
 from engine import index_io
 from engine.config import EngineConfig
 from engine.lru import LRUCache
-from engine.query import InvertedIndex, parts_of, terms_of, weight_items
+from engine.query import (InvertedIndex, parts_of, sum_order, terms_of,
+                          weight_items)
 from engine.tokenize import stable_hash64
 
 
@@ -240,10 +241,8 @@ class ShardWorker:
             if ent is not None and mask is not None:
                 keep = mask[self.idx._held(ent[0])[0]]
                 ent = (ent[0][keep], ent[1][keep]) if keep.any() else None
-            # df rides along for the front's require_all path: the
-            # conjunctive accumulation sums terms in ascending-df order
-            # (query.py _search_all), and a term's one part holds ALL
-            # its postings, so this df is the global df
+            # df rides along for the front's sum_order: a term's one
+            # part holds ALL its postings, so this df is the global df
             out[t] = None if ent is None else (*ent, df)
         return out
 
@@ -290,9 +289,9 @@ class _Front:
 
     Every query shape runs on one core: ``_scatter`` fires the scored
     term fragments (and the gate-term id sets), ``_match`` gathers them
-    into the gated candidate set with its BM25 sums.  search ranks it,
-    match_count counts it, search_weighted re-weights its fragments and
-    the facets count it on one worker per doc range."""
+    into the gated candidate set with its (weighted) BM25 sums.  search
+    and search_weighted rank it, match_count counts it and the facets
+    count it on one worker per doc range."""
 
     # gate-set cache budget: sorted int64 id arrays of must/exclude
     # terms (8 B/id).  Gate terms repeat across queries (a tenant's
@@ -302,7 +301,7 @@ class _Front:
     # exclude-stopword warm p50 240 ms -> ~plain without the refetch.
     GATE_CACHE_BYTES = 256 << 20
 
-    _EMPTY = (np.empty(0, dtype=np.int64), np.empty(0), {})
+    _EMPTY = (np.empty(0, dtype=np.int64), np.empty(0))
 
     def __init__(self, cfg: EngineConfig, shards: list):
         self.cfg = cfg
@@ -398,10 +397,11 @@ class _Front:
                  np.concatenate([e[1] for e in ents]), ents[0][2])
                 for t, ents in parts.items()}
 
-    def _match(self, plan):
-        """Gather a scatter plan -> (ids, scores, fragments): the gated
-        candidate doc ids (sorted), their BM25 sums in the local
-        engine's float order, and each term's fragment."""
+    def _match(self, plan, items=None):
+        """Gather a scatter plan -> (ids, scores): the gated candidate
+        doc ids (sorted) and their sums of ``w * score`` over ``items``
+        ((term, weight) pairs; None = every plan term at weight 1.0),
+        added in the local engine's ``sum_order``."""
         if plan is None:
             return self._EMPTY
         terms, futs, gate, require_all = plan
@@ -409,8 +409,12 @@ class _Front:
         if not frags or (require_all and any(t not in frags
                                              for t in terms)):
             return self._EMPTY              # a query term matched nowhere
-        ids = np.concatenate([frags[t][0] for t in terms if t in frags])
-        scores = np.concatenate([frags[t][1] for t in terms if t in frags])
+        entries = sum_order(
+            [e for e in (items or [(t, 1.0) for t in terms])
+             if e[0] in frags], lambda e: frags[e[0]][2])
+        ids = np.concatenate([frags[t][0] for t, _ in entries])
+        scores = np.concatenate([frags[t][1] if w == 1.0
+                                 else w * frags[t][1] for t, w in entries])
         uniq, inv = np.unique(ids, return_inverse=True)
         # bincount does the same input-order per-bin accumulation as
         # np.add.at (bit-identical float sums) in buffered C — add.at
@@ -426,18 +430,7 @@ class _Front:
             keep = self._gate_keep(gate, uniq, keep)
         if keep is not None:
             uniq, acc = uniq[keep], acc[keep]
-        if require_all:
-            # conjunctive scoring sums terms in ascending-df order
-            # (stable: query order on equal dfs) — the exact float
-            # order of query.py _search_all, so merged scores stay
-            # bit-identical to the local AND path.  Every survivor is
-            # in every term's (possibly filter-masked) fragment, so
-            # the sorted gather is exact.
-            acc = np.zeros(uniq.size, dtype=np.float64)
-            for t in sorted(terms, key=lambda t: frags[t][2]):
-                t_ids, t_s, _ = frags[t]
-                acc += t_s[np.searchsorted(t_ids, uniq)]
-        return uniq, acc, frags
+        return uniq, acc
 
     def _gate_keep(self, gate, uniq: np.ndarray, keep):
         """AND the must / exclude gates of ``gate`` into ``keep`` (None
@@ -502,8 +495,7 @@ class _Front:
     def _finish(self, plan, k: int):
         if isinstance(plan, ray.ObjectRef):
             return ray.get(plan)
-        uniq, acc, _ = self._match(plan)
-        return InvertedIndex._topk(uniq, acc, k)
+        return InvertedIndex._topk(*self._match(plan), k)
 
     def search(self, query: str, k: int = 10, **clauses):
         if k <= 0:
@@ -536,26 +528,13 @@ class _Front:
 
         Weight keys are routed VERBATIM to their owning shards (callers
         supply already-analyzed terms — no tokenize, the learned-sparse
-        contract).  The front accumulates ``w * score`` per candidate
-        walking matched entries in ascending (df, term) order with
-        duplicate input terms kept as separate entries in input order —
-        exactly ``InvertedIndex.search_weighted``'s float order, so the
-        merged top-k is bit-identical to one local index."""
+        contract); a repeated key stays a separate ``_match`` item."""
         if k <= 0:
             return []
         items = weight_items(term_weights)
-        uniq, _, frags = self._match(self._scatter(
-            list(dict.fromkeys(t for t, _ in items)), where, where_range))
-        entries = sorted(((frags[t][2], t, w) for t, w in items
-                          if t in frags), key=lambda e: e[:2])
-        acc = np.zeros(uniq.size, dtype=np.float64)
-        for _, t, w in entries:
-            ids, s, _ = frags[t]
-            # ids are unique within a term (disjoint ranges), so the
-            # fancy-index add applies each contribution exactly once,
-            # per doc in the same order the local dense walk does
-            acc[np.searchsorted(uniq, ids)] += w * s
-        return InvertedIndex._topk(uniq, acc, k)
+        return InvertedIndex._topk(*self._match(self._scatter(
+            list(dict.fromkeys(t for t, _ in items)), where, where_range),
+            items), k)
 
     def match_count_weighted(self, term_weights,
                              where: tuple | None = None,
@@ -791,19 +770,15 @@ class DocShardedQueryService:
     df for the query terms and pushes global N/avgdl once at startup;
     phase 2 shards score with those GLOBAL stats, so the merged top-k
     is exact.  With ``method="daat"`` scores are BIT-identical to a
-    single global index (same per-doc float addition order,
-    pytest-asserted); with ``method="bmw"`` they agree to the last ulp
-    only (block-max processes terms in upper-bound order — the same
-    ulp-level difference local bmw-vs-daat shows), ranks identical up
-    to genuinely tied floats.
+    single global index (pytest-asserted; the sum order keys on the
+    global df); with ``method="bmw"`` they agree to the last ulp, as
+    local bmw and daat do.
 
     Every other clause is a per-doc predicate over docs each shard
     owns whole (where / where_range sidecars, must / exclude /
     require_all postings, phrase matching), so shard-local gating
     merges exactly: top-k lists merge, counts and facet buckets sum,
-    and hydration takes the one shard that answers per doc.  The
-    conjunctive and weighted paths sum terms in ascending OVERRIDDEN
-    (global) df order, so they stay bit-identical too.
+    and hydration takes the one shard that answers per doc.
 
     Requirement: the doc partitioner must be doc-consistent (e.g.
     hash64(url) % S) so a url's duplicates dedup within one shard.

@@ -253,21 +253,45 @@ def test_neardup_dedup_distributed_equals_driver(corpus):
 # round-5 scale paths: grouped verify, star edges, minhash hot-band cap
 # ---------------------------------------------------------------------------
 
+def _driver_jaccard(corpus, pairs, threshold, shingle_k=3, hash_fn="sip"):
+    """Oracle: every candidate doc's unique shingle set in one driver
+    dict, |A∩B| / |A∪B| per pair (a doc absent from the corpus has the
+    empty set), round(j, 6), sorted by (id_a, id_b)."""
+    pa_ids = pairs["id_a"].to_numpy().astype(np.int64)
+    pb_ids = pairs["id_b"].to_numpy().astype(np.int64)
+    wanted = set(pa_ids.tolist()) | set(pb_ids.tolist())
+    sets = {int(d): set(shingle_hashes(tokenize(t), shingle_k, hash_fn)
+                        .astype(np.int64).tolist())
+            for d, t in zip(corpus["doc_id"], corpus["text"])
+            if int(d) in wanted}
+    out = []
+    for a, b in zip(pa_ids, pb_ids):
+        sa, sb = sets.get(int(a), set()), sets.get(int(b), set())
+        union = len(sa | sb)
+        j = (len(sa & sb) / union) if union else 0.0
+        if j >= threshold:
+            out.append((int(a), int(b), round(j, 6)))
+    res = pd.DataFrame(out, columns=["id_a", "id_b", "jaccard"])
+    return (res.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+            if len(res) else res)
+
+
 def test_verify_jaccard_grouped_equals_broadcast(corpus):
-    """Distributed (co-partitioned) verify is bit-identical to the legacy
-    driver-dict path, with candidates actually routed through >1 bucket."""
+    """Distributed (co-partitioned) verify is bit-identical to the
+    driver-dict oracle, with candidates actually routed through >1
+    bucket."""
     from engine.dedup import _splitmix64
     cand = minhash_candidates(_ds(corpus))
     assert len(cand) >= 3
     bkt = (_splitmix64(cand["id_a"].to_numpy().astype(np.uint64))
            % np.uint64(64))
     assert np.unique(bkt).size > 1      # multi-bucket routing exercised
-    a = verify_jaccard(_ds(corpus), cand, threshold=0.3, mode="grouped")
-    b = verify_jaccard(_ds(corpus), cand, threshold=0.3, mode="broadcast")
+    a = verify_jaccard(_ds(corpus), cand, threshold=0.3)
+    b = _driver_jaccard(corpus, cand, threshold=0.3)
     pd.testing.assert_frame_equal(a, b)
     # multi-block corpus scan: per-doc bucket fan-out is batch-independent
     c = verify_jaccard(ray.data.from_pandas(corpus).repartition(7), cand,
-                       threshold=0.3, mode="grouped")
+                       threshold=0.3)
     pd.testing.assert_frame_equal(a, c)
 
 

@@ -697,6 +697,44 @@ def test_http_capability_probe_vs_engine_fault():
         srv.stop()
 
 
+def test_http_malformed_search_body():
+    """Malformed /v1/search input is a client 400 invalid_request, never
+    a dropped connection or a 500: a query that is not a string, a
+    filter without "col", a filter that is not an object, and a JSON
+    body that is not an object (on every JSON POST route)."""
+    from engine.http_serve import EngineHttpServer
+
+    class Stub:
+        def search(self, query, k=10, **kwargs):
+            return []
+
+        def url_of(self, doc_ids):
+            return []
+
+        def suggest(self, prefix, k=10):
+            return []
+
+    srv = EngineHttpServer(service=Stub())
+    base = f"http://127.0.0.1:{srv.start()}"
+    try:
+        assert _post(f"{base}/v1/search", {"query": "x"}) == \
+            (200, {"hits": []})
+        for route, payload in (
+                ("search", {"query": 5}),
+                ("search", {"query": ["x"]}),
+                ("search", {"query": "x", "filter": {"values": ["en"]}}),
+                ("search", {"query": "x", "filter": "en"}),
+                ("search", {"query": "x", "filter": ["en"]}),
+                ("search", [1]),
+                ("embeddings", [1]),
+                ("suggest", ["x"])):
+            status, resp = _post(f"{base}/v1/{route}", payload)
+            assert status == 400, (route, payload)
+            assert resp["error"]["code"] == "invalid_request", payload
+    finally:
+        srv.stop()
+
+
 def test_http_phrase_search(tmp_path, unit_webtext):
     """/v1/search {"phrase": true, "slop": N} == search_phrase on both
     backends; non-positional index and phrase-less tiers -> clear 400s;

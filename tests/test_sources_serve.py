@@ -112,6 +112,22 @@ def test_query_service(ray_session, e2e_webtext, tmp_path_factory):
         svc.shutdown()
 
 
+def _assert_one_sum_order(svc, local, q="the of and to a in"):
+    """On a query of several common terms, the front's search, its
+    search_weighted at w = 1 and its require_all each equal local daat
+    bit for bit (every path adds a doc's term scores in one order)."""
+    ones = {t: 1.0 for t in local.query_terms(q)}
+    want = local.search(q, k=100, method="daat")
+    assert len(ones) >= 3 and want
+    assert svc.search(q, k=100) == want
+    assert svc.search_weighted(ones, k=100) == want
+    got_and = svc.search(q, k=100, require_all=True)
+    assert got_and == local.search(q, k=100, method="daat",
+                                   require_all=True)
+    assert got_and and set(got_and) <= set(
+        local.search(q, k=10**6, method="daat"))
+
+
 def test_sharded_query_service(ray_session, e2e_webtext, tmp_path_factory):
     """2 shards x 2 replicas scatter-gather == single-process DAAT,
     bit-identical scores (the front reproduces daat's accumulation)."""
@@ -186,6 +202,7 @@ def test_sharded_query_service(ray_session, e2e_webtext, tmp_path_factory):
         assert svc.search_many(queries[:4], k=10, exclude="data") == \
             [local.search(q, k=10, method="daat", exclude="data")
              for q in queries[:4]]
+        _assert_one_sum_order(svc, local)
     finally:
         svc.shutdown()
 
@@ -245,6 +262,7 @@ def test_sharded_service_doc_ranges(ray_session, e2e_webtext,
                        {"require_all": True}):
                 assert svc.search(q, k=10, **kw) == \
                     local.search(q, k=10, method="daat", **kw), (q, kw)
+        _assert_one_sum_order(svc, local)
     finally:
         svc.shutdown()
 

@@ -3,16 +3,10 @@
 Exactness contracts under test:
 - QueryService.search_weighted == local (same index, same code path);
 - DocShardedQueryService.search_weighted == one global index,
-  BIT-identical: the global-stats exchange overrides df per term and
-  search_weighted accumulates in ascending OVERRIDDEN-df order, so
-  every shard adds a doc's weighted contributions in the same order a
-  global index would;
+  BIT-identical (the global-stats exchange overrides df per term);
 - ShardedQueryService.search_weighted == local, BIT-identical: each
-  weight key routes verbatim to its owning term shard, fragments
-  concatenate in ascending doc-range order (== the full docID-sorted
-  decode), and the front accumulates w*score walking entries in
-  ascending (df, term) order with duplicate input terms kept as
-  separate entries — the local dense walk's exact float order;
+  weight key routes verbatim to its owning term shard, and duplicate
+  input terms stay separate entries;
 - doc-values filters (where / where_range) compose on every tier and
   keep survivors' scores bit-identical to the unfiltered run (Lucene
   filter-query semantics — global stats, per-doc predicate);
@@ -86,6 +80,11 @@ def _weight_sets(idx):
             [(terms[0], 1.5), (terms[1], 0.5), (terms[0], 0.25)]]
 
 
+def _ones(idx, q="the of data house garden"):
+    """Every term of ``q`` at weight 1.0: BM25 as weighted search."""
+    return q, {t: 1.0 for t in idx.query_terms(q)}
+
+
 def test_query_service_weighted(ray_session, widx):
     from engine.serve import QueryService
     global_dir, _, _ = widx
@@ -102,6 +101,10 @@ def test_query_service_weighted(ray_session, widx):
             local.search_weighted(W, k=10, where=WHERE)
         assert svc.search_weighted(W, k=10, where_range=WHERE_RANGE) == \
             local.search_weighted(W, k=10, where_range=WHERE_RANGE)
+        # BM25 is weighted search at w = 1, bit for bit
+        q, ones = _ones(local)
+        assert svc.search_weighted(ones, k=100) == \
+            svc.search(q, k=100, method="daat")
     finally:
         svc.shutdown()
 
@@ -204,6 +207,9 @@ def test_doc_sharded_weighted_bit_identical(ray_session, e2e_webtext,
             got = svc.search_weighted(w, k=10)
             want = local.search_weighted(w, k=10)
             assert got == want, w          # bit-identical, incl. scores
+        # BM25 is weighted search at w = 1, bit for bit
+        q, ones = _ones(local)
+        assert svc.search_weighted(ones, k=100) == svc.search(q, k=100)
         # a term present on only SOME shards still gets the global df
         assert svc.search_weighted({"zzqneverthere": 1.0}, k=10) == []
         # per-shard doc-values filters merge exactly (per-doc predicate)
