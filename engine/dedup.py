@@ -85,17 +85,6 @@ def shingle_hashes(tokens: list[str], k: int = 3,
     return np.unique(HASH_FNS[hash_fn](np.asarray(shingles, dtype=object)))
 
 
-def minhash_signature(sh: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a*h + b) mod p minimized over shingles -> n_perm-long signature."""
-    if sh.size == 0:
-        return np.full(a.size, np.iinfo(np.uint64).max >> 1, dtype=np.uint64)
-    # (n_perm, n_shingles) mod-Mersenne arithmetic; wraparound-safe in
-    # python-int domain is overkill — 61-bit values * 61-bit a wraps
-    # mod 2^64 but stays a deterministic universal-ish hash family
-    vals = (a[:, None] * (sh[None, :] & _MERSENNE) + b[:, None]) % _MERSENNE
-    return vals.min(axis=1)
-
-
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (deterministic 64-bit mix)."""
     x = x + np.uint64(0x9E3779B97F4A7C15)

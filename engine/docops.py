@@ -499,7 +499,7 @@ def q_bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
     })
 
 
-STOP_QUERY = "the a value"  # high-df terms: exercises block-max pruning
+STOP_QUERY = "the a value"  # high-df terms: the default route's cost rule
 
 
 def q_bm25_topk_stop(sf_dir: str) -> pd.DataFrame:

@@ -53,6 +53,12 @@ from engine.config import EngineConfig
 from engine.lru import LRUCache
 from engine.tokenize import doc_ids_from_urls
 
+
+class DocValuesMissing(KeyError):
+    """A doc-values column the sidecar does not hold (a client error:
+    the column was never attached)."""
+
+
 SIDECAR = "docvalues.parquet"
 
 # sidecar row-group size: hydration (get_doc_values) decodes whole row
@@ -340,7 +346,7 @@ def get_doc_values(index_dir: str, cfg: EngineConfig, doc_ids,
             continue
         pf, mins, maxs = _sidecar_file(path)
         if col not in pf.schema_arrow.names:
-            raise KeyError(
+            raise DocValuesMissing(
                 f"doc-values column {col!r} not in the sidecar "
                 f"(have {pf.schema_arrow.names}) — re-attach with the "
                 "full column set (attach REPLACES the sidecar)")
@@ -408,7 +414,7 @@ def read_doc_values(index_dir: str, cfg: EngineConfig, col: str,
         if not os.path.exists(path):
             continue
         if col not in pq.read_schema(path).names:
-            raise KeyError(
+            raise DocValuesMissing(
                 f"doc-values column {col!r} not in the sidecar "
                 f"(have {pq.read_schema(path).names}) — re-attach with "
                 "the full column set (attach REPLACES the sidecar)")

@@ -45,10 +45,12 @@ import base64
 import binascii
 import contextlib
 import json
+import math
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from engine.docvalues import DocValuesMissing
 from engine.embed import HashingEmbedder
 from engine.tokenize import tokenize
 
@@ -194,7 +196,13 @@ class EngineHttpServer:
                 pass
 
             def _send(self, status: int, payload: dict | None):
-                body = b"" if payload is None else json.dumps(payload).encode()
+                try:
+                    # strict JSON: NaN / Infinity are not JSON tokens
+                    body = (b"" if payload is None else
+                            json.dumps(payload, allow_nan=False).encode())
+                except ValueError as e:
+                    status, body = 500, json.dumps(
+                        _internal_error(e)[1]).encode()
                 self.send_response(status)
                 if body:
                     self.send_header("Content-Type", "application/json")
@@ -343,6 +351,13 @@ class EngineHttpServer:
             where = (flt["col"], tuple(vals))
         facet_col = req.get("facet")
         hist = req.get("facet_histogram")  # {"col": ..., "edges": [...]}
+        if hist is not None and not (isinstance(hist, dict)
+                                     and isinstance(hist.get("col"), str)
+                                     and isinstance(hist.get("edges"), list)):
+            return 400, _error(
+                'facet_histogram must be an object {"col": ..., '
+                '"edges": [...]}', "invalid_request_error",
+                "invalid_request")
         exclude = req.get("exclude")
         # snippets=true: best query-term window per hit (the q_snippets
         # rule, engine/docops.best_snippet_window) computed over the
@@ -445,7 +460,7 @@ class EngineHttpServer:
                 if hist:
                     hrows = backend.facet_histogram(
                         query, hist["col"], hist["edges"], **kwargs)
-        except (FileNotFoundError, KeyError) as e:  # missing sidecar/col
+        except (FileNotFoundError, DocValuesMissing) as e:  # sidecar/col
             return 400, _error(str(e), "invalid_request_error",
                                "no_doc_values")
         except AttributeError as e:
@@ -462,6 +477,11 @@ class EngineHttpServer:
             # unsupported_filter
             return 400, _error(str(e), "invalid_request_error",
                                "bad_column_type")
+        if not all(math.isfinite(s) for _, s in hits):
+            # finite weights whose products overflow
+            return 400, _error("a hit's score is not finite (weights too "
+                               "large)", "invalid_request_error",
+                               "invalid_request")
         out = {"hits": [
             {"doc_id": int(d), "score": float(s), "url": u}
             for (d, s), u in zip(hits, urls)]}

@@ -16,24 +16,28 @@ Scoring (BASELINE.md §2; float64 throughout, ties broken doc_id asc):
     score(q, d) = sum over DISTINCT query terms of s(t, d)
 
 Sum order.  Float addition is not associative, so the order in which a
-document's term scores are added is part of the answer.  Every exact
-scorer (daat, the filtered and AND routes, ``search_weighted``) and
-the term-sharded front (engine/serve.py) add them in ascending
-(global df, term) order, the one key of ``sum_order``.  So
-``search(method="daat")`` equals ``search_weighted`` with every weight
-1.0 bit for bit, and every serving tier equals the local engine.  Two
-paths keep their own order on purpose: ``method="bmw"`` adds in
-descending upper-bound order, which its pruning needs (ranks stay
-identical, scores agree to the last bits), and ``search_phrase`` adds
-in first-occurrence order, which spares each phrase term the df probe.
+document's term scores are added is part of the answer.  Every BM25 and
+weighted scorer (exhaustive, pruned, filtered, AND) and the
+term-sharded front (engine/serve.py) add them in ascending (global df,
+term) order, the one key of ``sum_order``, starting from 0.0.  So
+``search`` equals ``search_weighted`` with every weight 1.0 bit for
+bit, both routes below return the same bits, and every serving tier
+equals the local engine.  ``search_phrase`` is the one exception: it
+adds in first-occurrence order, which spares each phrase term the df
+probe.
 
-Two execution strategies, rank-identical by construction/tests:
-  * ``method="daat"`` — exhaustive document-at-a-time, fully vectorized
-    (decode all postings for the query terms, dense per-position
-    accumulate).  The correctness oracle path.
-  * ``method="bmw"`` — block-max WAND: per-block upper bounds
-    score(max_tf, min_dl) prune blocks that cannot reach the running
-    top-k threshold; only surviving blocks are decoded.
+One top-k core serves ``search`` (weighted search at w = 1) and
+``search_weighted``, with two routes that give identical answers:
+  * exhaustive — decode every query term's postings (cached) and add
+    them into a dense per-position array.
+  * pruned — two-phase MaxScore over per-block (max_tf, min_doclen)
+    upper bounds: pruning only picks the surviving documents, whose
+    scores are then re-added in ``sum_order``.
+``method="bmw"`` (the default) takes the pruned route when every weight
+is positive and the cost rule ``_prunes`` expects phase B to skip
+blocks: some term has more than ``4 * k`` posting blocks and another is
+at most half as common.  ``method="daat"`` always runs exhaustive.
+Because the bits match, the route never changes an answer.
 
 Beyond ranked OR: ``require_all`` (AND), ``must`` (+term gate),
 ``exclude`` (MUST_NOT), ``where``/``where_range`` (doc-values filters,
@@ -50,6 +54,7 @@ distributed query serving (one `QueryActor` per replica).
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -103,6 +108,20 @@ def weight_items(term_weights) -> list[tuple[str, float]]:
     items = (term_weights.items() if isinstance(term_weights, dict)
              else term_weights)
     return [(str(t), float(w)) for t, w in items if float(w) != 0.0]
+
+
+class _Item(NamedTuple):
+    """One (term, weight) of a query as the top-k core scores it: its
+    global df (the ``sum_order`` key), its local df (postings to
+    decode), and either its cached run ``(pos, scores, df)`` or the
+    encoded postings and skips a miss decodes from."""
+    term: str
+    w: float
+    gdf: int
+    df: int
+    run: tuple | None
+    pbytes: bytes | None = None
+    skips: np.ndarray | None = None
 
 
 class InvertedIndex:
@@ -162,6 +181,9 @@ class InvertedIndex:
         # measured 1.02 s p95 at 1.6M docs with a 64-term cap) or
         # overruns memory.  LRU by bytes holds the query working set.
         self._postings_cache = LRUCache(cache_budget_bytes)  # hot terms
+        # the pruned route's per-term state, computed once per loader:
+        # term -> (df, postings bytes, skips, per-block score bounds)
+        self._bounds_cache = LRUCache(max(1 << 20, cache_budget_bytes // 8))
         self._positions_cache = LRUCache(cache_budget_bytes)  # phrase terms
         # doc-values sidecars (engine/docvalues.py): per column, the
         # factorized value codes aligned to _doc_ids (-1 = no sidecar
@@ -186,12 +208,14 @@ class InvertedIndex:
                          dfs: dict[str, int] | None = None) -> None:
         """Override corpus statistics (doc-sharded serving: every shard
         must score with the GLOBAL N/avgdl/df for exact merged top-k).
-        Clears the decoded-term cache — cached scores embed the old idf."""
+        Clears the decoded-term and block-bound caches — both embed the
+        old idf."""
         self.n_docs = int(n_docs)
         self.avgdl = float(avgdl) or 1.0
         if dfs:
             self._df_overrides.update(dfs)
         self._postings_cache.clear()
+        self._bounds_cache.clear()
 
     def add_df_overrides(self, dfs: dict[str, int]) -> None:
         """Merge per-term global dfs (stable per term, so previously
@@ -202,6 +226,7 @@ class InvertedIndex:
             if old != df:
                 self._df_overrides[t] = df
                 self._postings_cache.pop(t)
+                self._bounds_cache.pop(t)
 
     # -- doc-values filters ---------------------------------------------------
     def _load_doc_values(self, col: str):
@@ -437,20 +462,15 @@ class InvertedIndex:
         probe of the distributed-stats exchange; no posting decode."""
         return self.dfs_of([term])[0]
 
-    def dfs_of(self, terms: list[str], route=None) -> list[int]:
-        """``df_of`` of each term, all routed by one hasher call (or by
-        ``route``, a request's ``_router`` shared with its decodes)."""
-        route = route or self._router(terms)
+    def dfs_of(self, terms: list[str]) -> list[int]:
+        """``df_of`` of each term, all routed by one hasher call."""
+        route = self._router(terms)
         return [0 if row is None else row[0]
                 for row in (self._term_row(route(t), t) for t in terms)]
 
     # -- scoring ------------------------------------------------------------
     def idf(self, df: int) -> float:
         return float(np.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5)))
-
-    def _doclen_of(self, doc_ids: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._doc_ids, doc_ids.astype(np.int64))
-        return self._doclens[pos]
 
     def url_of(self, doc_ids: np.ndarray) -> list:
         """Resident-docmeta url per doc_id; None for ids this loader
@@ -607,25 +627,17 @@ class InvertedIndex:
         return 0 if matched is None else int(matched.sum())
 
     def _decoded(self, term: str, route=None):
-        """One term's full decode -> (pos, scores), or None when the
-        term is absent.  Reads the decoded cache FIRST: a hit returns
-        with no routing hash and no dictionary probe (the cached scores
-        already carry the global idf — a df override evicts the term).
-        A miss routes the term with ``route`` (the request's
-        ``_router``; its own ``part_of`` hash when None), probes the
-        dictionary and decodes.  Scores use the GLOBAL (overridden)
-        idf, as in search(): mask-only callers ignore them, but the
-        decode CACHES them — the local df would poison the cache for
-        scored searches on a doc-range shard."""
-        hit = self._postings_cache.get(term)
-        if hit is not None:
-            return hit
-        e = self._lookup(term, route)
-        if e is None:
-            return None
-        df, pbytes, skips = e
-        return self._decode_term(term, df, pbytes, skips,
-                                 self.idf(self._df_overrides.get(term, df)))
+        """One term's full decode -> (pos, scores, df), or None when the
+        term is absent: its cached run, read with no routing hash and
+        no dictionary probe (the cached scores already carry the global
+        idf — a df override evicts the term), or else its decode, as
+        ``_item`` resolves it (``route``: the request's ``_router``; the
+        term's own ``part_of`` hash when None).  Scores use the GLOBAL
+        (overridden) idf, as in search(): mask-only callers ignore
+        them, but the decode CACHES them — the local df would poison
+        the cache for scored searches on a doc-range shard."""
+        e = self._item(term, 1.0, route)
+        return None if e is None else e.run or self._decode_term(e)
 
     def _match_mask(self, terms: list[str], require_all: bool,
                     route) -> np.ndarray | None:
@@ -728,9 +740,10 @@ class InvertedIndex:
                must: str | None = None):
         """-> list of (doc_id, score) sorted score desc, doc_id asc.
 
-        ``method`` is ``"bmw"`` (block-max MaxScore, the default) or
-        ``"daat"`` (exhaustive, the bit-identity reference); any other
-        value raises ValueError.
+        ``method`` is ``"bmw"`` (the default: the pruned route where
+        the cost rule ``_prunes`` picks it) or ``"daat"`` (always
+        exhaustive); both return the same bits, and any other value
+        raises ValueError.
 
         ``require_all=True`` switches to conjunctive (AND) semantics:
         only documents containing EVERY query term are candidates (a
@@ -750,14 +763,9 @@ class InvertedIndex:
         density-split: at or below ``filtered_dense_cutoff`` the
         selective candidate-block scorer runs (decode only blocks
         containing a candidate — the win case for per-tenant filters);
-        above it, ``method="bmw"`` runs MASKED block-max MaxScore —
-        a block's unfiltered upper bound is still a valid upper bound
-        for its masked subset, and θ (the running kth-best) is taken
-        over masked candidates only, so pruning stays exact and a
-        90%-density filter costs ~one mask gather per term over the
-        unfiltered block-max query instead of an exhaustive decode.
-        ``method="daat"`` forces the exhaustive scorer (the
-        bit-identity reference for the serving tiers).
+        above it the mask applies to the unfiltered routes — a block's
+        unfiltered upper bound still bounds its masked subset, and θ
+        (the running kth-best) is taken over masked candidates only.
 
         ``where_range=(col, lo, hi)`` is the numeric-range filter
         (``lo <= col <= hi``, BETWEEN-inclusive) over a doc-values
@@ -787,41 +795,96 @@ class InvertedIndex:
             return []
         terms = self.query_terms(query)
         must_t, ex_t, route = self._clause_terms(terms, must, exclude)
-        ex_mask = None
-        if exclude:
-            ex_mask = self._exclude_mask(ex_t, route)
+        ex_mask = self._exclude_mask(ex_t, route) if exclude else None
         must_mask = None
         if must:
             must_mask = self._must_mask(must_t, route)
             if must_mask is None:
                 return []
+        return self._topk_items(
+            [(t, 1.0) for t in terms], k, route,
+            lambda: self._filter_mask(where, where_range, ex_mask,
+                                      must_mask),
+            method, require_all)
+
+    def _item(self, term: str, w: float, route) -> _Item | None:
+        """``term`` as an ``_Item``, or None when it is absent.  A hit
+        in the decoded cache (the run carries its df) or in the bounds
+        cache (postings and skips) neither hashes nor probes; a miss
+        routes with ``route`` (the request's ``_router``) and probes."""
+        run = self._postings_cache.get(term)
+        if run is not None:
+            return _Item(term, w, self._df_overrides.get(term, run[2]),
+                         run[2], run)
+        ent = self._bounds_cache.get(term) or self._lookup(term, route)
+        if ent is None:
+            return None
+        df, pbytes, skips = ent[:3]
+        return _Item(term, w, self._df_overrides.get(term, df), df, None,
+                     pbytes, skips)
+
+    def _weighted_run(self, e: _Item, mask: np.ndarray | None = None):
+        """``e``'s (pos, w * scores) — its cached run or a (cached)
+        decode — keeping only the positions ``mask`` holds.  At w = 1
+        the scores are the cached array itself (1.0 * s == s)."""
+        pos, s = (e.run or self._decode_term(e))[:2]
+        if e.w != 1.0:
+            s = e.w * s
+        if mask is not None:
+            keep = mask[pos]
+            pos, s = pos[keep], s[keep]
+        return pos, s
+
+    def _topk_items(self, items, k: int, route, mask_of,
+                    method: str = "bmw", require_all: bool = False):
+        """Top-k by the weighted sum over ``items`` ((term, weight)
+        pairs) — the one core of ``search`` (w = 1) and
+        ``search_weighted``.  It resolves each item, puts them in
+        ``sum_order`` and picks a route: AND, the selective filter,
+        pruned or exhaustive, all of which return the exhaustive
+        route's bits.  ``mask_of()`` gives the keep-mask (or None); it
+        runs only once some term is present."""
         entries = []
-        for t in terms:
-            e = self._lookup(t, route)
+        for t, w in items:
+            e = self._item(t, w, route)
             if e is None:
                 if require_all:
                     return []
                 continue
-            df, pbytes, skips = e
-            # idf from the GLOBAL df when serving a doc-range shard;
-            # df itself stays local (it is the posting count to decode)
-            idf = self.idf(self._df_overrides.get(t, df))
-            entries.append((t, df, idf, pbytes, skips))
+            entries.append(e)
         if not entries:
             return []
-        entries = sum_order(entries,
-                            lambda e: self._df_overrides.get(e[0], e[1]))
-        mask = self._filter_mask(where, where_range, ex_mask, must_mask)
+        entries = sum_order(entries, lambda e: e.gdf)
+        mask = mask_of()
         if require_all:
             return self._search_all(entries, k, mask)
         if mask is not None and (int(mask.sum()) <= self.filtered_dense_cutoff
                                  * self._doc_ids.size):
             return self._search_filtered(entries, k, mask)
-        if method == "bmw":
-            return self._search_bmw(entries, k, mask)
-        return self._accumulate_topk(
-            (self._decode_term(t, df, pbytes, skips, idf)
-             for t, df, idf, pbytes, skips in entries), k, mask)
+        if (method == "bmw" and all(e.w > 0 for e in entries)
+                and self._prunes(entries, k)):
+            return self._search_pruned(entries, k, mask, route)
+        return self._accumulate_topk(map(self._weighted_run, entries), k,
+                                     mask)
+
+    def _prunes(self, entries, k: int) -> bool:
+        """The cost rule between the pruned and exhaustive routes (their
+        answers are equal, only the time differs), read from the dfs
+        alone.  Pruning pays only on a term long enough for phase B to
+        score a few candidates without touching most of its postings:
+        more than ``4 * k`` posting blocks.  And only when the terms
+        phase A adds whole leave few candidates: some term must be at
+        most half as common as the most common one.
+
+        On a 60k-row gen_webtext index (seed 5, 4 CPUs, warm cache,
+        best of 5) this routes 235 of perfbench's 400 BM25 queries to
+        the pruned route: p50 0.23 ms, p95 1.22 ms, against 0.89 / 1.44
+        ms all exhaustive and 0.23 / 1.44 ms all pruned; pruning all of
+        them loses only on all-stopword queries.  Every weighted query
+        of the mix prunes (p50 1.09 vs 2.76 ms)."""
+        dfs = [e.df for e in entries]
+        top = max(dfs)
+        return top > 4 * k * self.cfg.block_size and 2 * min(dfs) < top
 
     def _filter_mask(self, where: tuple | None = None,
                      where_range: tuple | None = None, *masks):
@@ -847,7 +910,7 @@ class InvertedIndex:
         sparse query/document term-weight dot products,
         rust/src/embeddings/local/bert.rs:379-396, examples/splade.py:
         37-48).  With weights all 1.0 it is bit-identical to
-        ``search(..., method="daat")``.
+        ``search``; any weight <= 0 keeps it on the exhaustive route.
 
         ``term_weights``: dict term -> weight, or iterable of
         (term, weight).  Terms are looked up verbatim (callers supply
@@ -863,24 +926,9 @@ class InvertedIndex:
         if k <= 0:
             return []
         items = weight_items(term_weights)
-        route = self._router([t for t, _ in items])
-        entries = []
-        for term, w in items:
-            # only the df is read here: a cached term's postings are
-            # never sliced or decoded
-            row = self._term_row(route(term), term)
-            if row is not None:
-                entries.append(
-                    (term, w, self._df_overrides.get(term, row[0])))
-        if not entries:
-            return []
-
-        def runs():
-            for term, w, _ in sum_order(entries, lambda e: e[2]):
-                pos, s = self._decoded(term, route)
-                yield pos, w * s
-        return self._accumulate_topk(runs(), k,
-                                     self._filter_mask(where, where_range))
+        return self._topk_items(
+            items, k, self._router([t for t, _ in items]),
+            lambda: self._filter_mask(where, where_range))
 
     def match_count_weighted(self, term_weights,
                              where: tuple | None = None,
@@ -990,7 +1038,7 @@ class InvertedIndex:
         # to <=2x the all-at-once gather (geometric chunk sum).
         cscores = np.zeros(inter.size, dtype=np.float64)
         for t in uniq:
-            pos, s = self._decoded(t, route)
+            pos, s, _ = self._decoded(t, route)
             cscores += s[np.searchsorted(pos, inter)]
         order = np.lexsort((inter, -cscores))
         out: list[tuple[int, float]] = []
@@ -1091,8 +1139,8 @@ class InvertedIndex:
         only ever shrinks the candidate set."""
         decoded = []
         inter = None
-        for term, df, idf, pbytes, skips in entries:
-            pos, s = self._decode_term(term, df, pbytes, skips, idf)
+        for e in entries:
+            pos, s = self._weighted_run(e)
             decoded.append((pos, s))
             if inter is None:
                 inter = pos if mask is None else pos[mask[pos]]
@@ -1148,71 +1196,45 @@ class InvertedIndex:
         return self._topk(self._doc_ids[nz], acc[nz], k)
 
     # selective-filter routing: when the filter keeps at most this
-    # fraction of docs, score only the posting BLOCKS containing a
-    # candidate instead of full daat (exhaustive decode + full-width
-    # accumulate).  Public knob; tests pin both routes bit-identical.
+    # fraction of docs, score only the candidates (from the posting
+    # BLOCKS holding one, where few) instead of the full-width
+    # accumulate.  Public knob; tests pin both routes bit-identical.
     filtered_dense_cutoff = 0.25
 
     def _search_filtered(self, entries, k: int, mask: np.ndarray):
-        """Filtered top-k over a candidate mask with PER-TERM routing:
-
-        * term already in the decoded-score cache -> gather + mask (one
-          vectorized index, no decode);
-        * uncached term whose candidate block window is much smaller
-          than its df -> decode ONLY the blocks containing a candidate
-          (binary search of candidate ids against the skip table's
-          last_doc column — the bmw phase-B machinery applied to
-          filter candidates instead of score survivors);
-        * otherwise -> full decode through the cache (the term stays
-          warm for later queries).
-
-        Accumulation is a dense array over the CANDIDATES (O(matches)
-        per term) with the same unique-position buffered adds as daat,
-        so sums, scores and tie-breaks are BIT-identical to
-        daat-with-mask (pytest pins this on random clause compositions
-        at both cutoff extremes).
-        The win case is the selective filter on a large tier — a
-        per-tenant `where` at 10^-3 density decodes a few blocks per
-        stopword instead of the term's whole multi-MB run."""
+        """Filtered top-k over a candidate mask: each term scores the
+        candidates as phase B of the pruned route does
+        (``_candidate_scores``: from only the blocks holding a
+        candidate when the term is uncached and they are few, else
+        from its whole run, cached), and the scores add in entry order
+        into an array over the CANDIDATES (O(matches) per term) — the
+        same per-doc sums, scores and tie-breaks as the exhaustive
+        route with the mask.  The win case is the selective filter on
+        a large tier: a per-tenant ``where`` whose candidates fall in
+        under 1/16 of a stopword's blocks scores only those blocks
+        instead of decoding its whole multi-MB run."""
         if self._del_mask is not None:
-            # daat never touches deleted docs (dropped at decode); make
-            # them non-candidates so the block branch agrees
+            # decodes drop deleted docs; make them non-candidates so
+            # the block decodes agree
             mask = mask & ~self._del_mask
         cand_pos = np.flatnonzero(mask)
         if cand_pos.size == 0:
             return []
-        cand_ids = self._doc_ids[cand_pos]      # sorted (slice of sorted)
         acc = np.zeros(cand_pos.size, dtype=np.float64)
         touched = np.zeros(cand_pos.size, dtype=bool)
-        for term, df, idf, pbytes, skips in entries:
-            hit = self._postings_cache.get(term)
-            use_blocks = (hit is None
-                          and min(cand_pos.size, skips.shape[0])
-                          * self.cfg.block_size * 4 < df)
-            if use_blocks:
-                cpos, s = self._score_blocks(
-                    pbytes, skips, df, idf,
-                    self._candidate_blocks(skips, cand_ids), cand_ids)
-            else:
-                pos, s_all = (hit if hit is not None else
-                              self._decode_term(term, df, pbytes, skips,
-                                                idf))
-                keep = mask[pos]
-                if not keep.any():
-                    continue
-                # positions of this term's masked postings within the
-                # candidate list (every kept pos is a candidate slot)
-                cpos = np.searchsorted(cand_pos, pos[keep])
-                s = s_all[keep]
-            acc[cpos] += s          # unique per term: buffered, exact
-            touched[cpos] = True
+        for e in entries:
+            pos, s = self._candidate_scores(e, cand_pos)
+            keep = mask[pos]            # a whole run holds non-candidates
+            slot = np.searchsorted(cand_pos, pos[keep])
+            acc[slot] += s[keep]        # unique per term: buffered, exact
+            touched[slot] = True
         nz = np.flatnonzero(touched)
-        return self._topk(cand_ids[nz], acc[nz], k)
+        return self._topk(self._doc_ids[cand_pos[nz]], acc[nz], k)
 
-    def _decode_term(self, term: str, df: int, pbytes: bytes,
-                     skips: np.ndarray, idf: float):
-        """Decode + per-posting BM25 scores -> (pos, scores), where
-        ``pos`` indexes into the loader's sorted ``_doc_ids``
+    def _decode_term(self, e: _Item):
+        """Decode + per-posting BM25 scores of item ``e``'s term ->
+        (pos, scores, df), where ``pos`` indexes into the loader's
+        sorted ``_doc_ids``
         (``self._doc_ids[pos]`` reconstructs the docID run).  Cached in
         a byte-budget LRU (production engines cache decoded stopword
         lists; scores are a pure function of (tf, doclen, df) so they
@@ -1227,9 +1249,11 @@ class InvertedIndex:
         Concatenating every range's run in ascending-range order
         reproduces the full decode bit-for-bit (same ids order, same
         per-element score arithmetic)."""
-        hit = self._postings_cache.get(term)
+        # decoded since it was resolved: a repeated term's twin
+        hit = self._postings_cache.get(e.term)
         if hit is not None:
             return hit
+        df, pbytes, skips = e.df, e.pbytes, e.skips
         if self.doc_range is None:
             ids, tfs = decode_postings(pbytes, skips.tobytes(), df,
                                        self.cfg.block_size)
@@ -1250,15 +1274,17 @@ class InvertedIndex:
             keep = ~self._del_mask[pos]
             if not keep.all():
                 pos, tfs = pos[keep], tfs[keep]
-        scores = self._term_score(tfs, self._doclens[pos], idf)
+        scores = self._term_score(tfs, self._doclens[pos],
+                                  self.idf(e.gdf))
         # cache the SLIM form: (position, score) is all scoring needs
         # (ids reconstruct as self._doc_ids[pos]); int32 positions
         # whenever the per-loader doc count allows -> 12 bytes/posting
         # vs 32 for (ids, tfs, scores, pos), ~2.7x more hot terms in
-        # the same byte budget
+        # the same byte budget.  The local df rides along, so a hit
+        # needs no dictionary probe.
         if self._doc_ids.size < (1 << 31):
             pos = pos.astype(np.int32)
-        return self._postings_cache.put(term, (pos, scores),
+        return self._postings_cache.put(e.term, (pos, scores, df),
                                         pos.nbytes + scores.nbytes)
 
     def _decode_blocks(self, pbytes: bytes, skips: np.ndarray, df: int,
@@ -1271,200 +1297,151 @@ class InvertedIndex:
         return (np.concatenate([p[0] for p in parts]).astype(np.int64),
                 np.concatenate([p[1] for p in parts]))
 
-    @staticmethod
-    def _candidate_blocks(skips: np.ndarray, cand_ids: np.ndarray):
-        """Posting blocks whose docID window holds a candidate (sorted
-        ids): binary search against the skip table's last_doc column."""
-        need = np.unique(np.searchsorted(skips[:, 0], cand_ids))
-        return need[need < skips.shape[0]]
+    # relative slack on every comparison against θ.  The pruned route's
+    # partial sums add in bound order, so they may differ from the
+    # ``sum_order`` scores in the last bits; a doc is dropped only when
+    # its bound is below θ by more than this, which no reordering of a
+    # sum of positive terms reaches, so a doc that ties the k-th score
+    # is never lost.
+    _THETA_SLACK = 1e-9
 
-    def _score_blocks(self, pbytes: bytes, skips: np.ndarray, df: int,
-                      idf: float, blocks, cand_ids: np.ndarray):
-        """One term's exact BM25 scores for the candidates (sorted ids)
-        that ``blocks`` hold -> (candidate slots, scores); slots are
-        unique, in docID order."""
-        ids, tfs = self._decode_blocks(pbytes, skips, df, blocks)
-        slot = np.searchsorted(cand_ids, ids)
-        hit = slot < cand_ids.size
-        hit[hit] &= cand_ids[slot[hit]] == ids[hit]
-        return slot[hit], self._term_score(tfs[hit],
-                                           self._doclen_of(ids[hit]), idf)
+    def _search_pruned(self, entries, k: int, mask: np.ndarray | None,
+                       route):
+        """Two-phase MaxScore top-k (Turtle & Flood 1995; PISA shape)
+        over ``entries`` (in ``sum_order``, every weight > 0).  A term's
+        bound is w times its largest per-block (max_tf, min_doclen)
+        score bound (``_bound``, once per loader).
 
-    def score_term_range(self, term: str, route=None):
-        """-> (doc_ids, bm25 scores) of this loader's ``doc_range`` (full
-        postings when no range is set), scored with the global
-        (overridden) idf; None when the term is absent or has no live
-        posting here.  The same cached decode as every scorer
-        (``route``: as in ``_decoded``)."""
-        dec = self._decoded(term, route)
-        if dec is None or dec[0].size == 0:
-            return None
-        return self._doc_ids[dec[0]], dec[1]
+        Phase A (essential terms, descending bound): decode and add
+        whole, keeping θ, the running kth-best partial score.  Once the
+        remaining terms' summed bounds fall below θ, no unseen doc can
+        enter the top-k, and the rest are non-essential.
 
-    def _search_bmw(self, entries, k: int, mask: np.ndarray | None = None):
-        """Block-max top-k: two-phase MaxScore (Turtle & Flood 1995 /
-        PISA shape) driven by the per-block (max_tf, min_doclen) skip
-        bounds — exact scores, rank-identical with ``daat`` and the
-        brute-force oracle, fully vectorized.
+        Phase B (non-essential terms): each candidate whose partial
+        score plus the remaining bounds is below θ is dropped, then the
+        term scores the survivors, from only the blocks that hold one
+        where it can (``_candidate_scores``).
 
-        Phase A (essential terms, descending upper bound): decode +
-        score exhaustively, maintaining the running kth-best partial
-        score θ (a valid lower bound of the true kth-best).  Once the
-        remaining terms' summed upper bounds fall strictly below θ, no
-        unseen doc can enter the top-k — the remaining terms are
-        non-essential.
+        Pruning only picks the survivors.  Their scores are then
+        re-added from the per-term contributions in ``sum_order`` from
+        0.0, as the exhaustive route adds them, so both routes return
+        the same bits.
 
-        Phase B (non-essential terms): existing candidates still need
-        their exact contributions, but only blocks that CONTAIN a
-        candidate are decoded (binary search of candidate ids against
-        the skip table's last_doc boundaries); candidates whose partial
-        score + remaining upper bounds fall strictly below θ are dropped
-        before each term, shrinking stopword-list decode to a few
-        blocks.  Strict inequalities keep doc_id-asc tie-breaks exact.
-
-        ``mask`` (dense doc-values filter route): non-candidates are
-        dropped from every term's postings right after decode, so θ is
-        the kth-best over FILTER CANDIDATES and phase B never touches a
-        non-candidate.  A block's unfiltered upper bound bounds every
-        doc in the block, hence also its masked subset — pruning
-        decisions stay exact for any mask.  Ranks match daat with the
-        same mask; per-doc sums agree to float addition order
-        (UB-descending here), as in the unfiltered bmw/daat pair.
-        """
-        k1, b = self.cfg.k1, self.cfg.b
-        terms = []
-        for term, df, idf, pbytes, skips in entries:
-            max_tf = skips[:, 2].astype(np.float64)
-            min_dl = skips[:, 3].astype(np.float64)
-            block_ub = idf * max_tf * (k1 + 1.0) / (
-                max_tf + k1 * (1.0 - b + b * min_dl / self.avgdl))
-            ub = float(block_ub.max()) if block_ub.size else 0.0
-            terms.append((ub, term, df, idf, pbytes, skips, block_ub))
-        terms.sort(key=lambda t: (-t[0], t[1]))
-        ubs = np.array([t[0] for t in terms])
-        # suffix_ub[i] = sum of ubs of terms[i:]
+        ``mask`` (dense doc-values filter): non-candidates are dropped
+        right after decode, so θ is the kth-best over filter
+        candidates; a block's unfiltered bound still bounds its masked
+        subset, so pruning stays exact."""
+        slack = 1.0 - self._THETA_SLACK
+        ubs = np.array([e.w * self._bound(e, route) for e in entries])
+        order = np.argsort(-ubs, kind="stable")
+        ubs = ubs[order]
+        # suffix_ub[i]: bound of terms order[i:]; prefix_ub[i]: of
+        # order[:i], which bounds any partial score after i terms and
+        # so θ itself.  While prefix_ub[i+1] <= suffix_ub[i+1] the
+        # phase-A break cannot fire at the next step, so θ upkeep is
+        # skipped there (SAP, ICDE 2018: keep the threshold cheap), as
+        # it is after the last term, when no break is left to test.
+        # The upkeep itself reads only the docs the term just touched:
+        # partial scores only grow, so the kth-best of any doc subset,
+        # or an older θ, stays a lower bound of the kth-best score, and
+        # the O(df) gather avoids an O(n_docs) pass per term.
         suffix_ub = np.concatenate([np.cumsum(ubs[::-1])[::-1], [0.0]])
-        # prefix_ub[i] = sum of ubs of terms[:i] — an upper bound on any
-        # partial score after i terms, hence on θ itself.  While
-        # prefix_ub[i+1] <= suffix_ub[i+1], the phase-A break can
-        # provably never fire at the next step, so θ maintenance (an
-        # O(n_docs) gather + partition per term — the dominant warm cost
-        # on stopword-heavy queries whose near-equal bounds never let
-        # phase A break) is skipped; θ stays a valid (smaller) lower
-        # bound, pruning only ever weakens, results are unchanged.  The
-        # final iteration always refreshes θ (prefix=total > suffix=0),
-        # so phase B starts from a fresh bound.
         prefix_ub = np.concatenate([[0.0], np.cumsum(ubs)])
-
-        # Phase A accumulates into a DENSE per-position array: postings
-        # are docID-sorted so positions are unique within a term and
-        # buffered fancy ``acc[pos] += s`` is exact.  The earlier
-        # sparse np.unique + np.add.at merge re-sorted ~n_docs-sized
-        # candidate arrays per term — seconds per stopword term at
-        # multi-M df (all-stopword queries keep every term essential,
-        # their near-equal upper bounds never fall below θ).
         acc = np.zeros(self._doc_ids.size, dtype=np.float64)
         touched = np.zeros(self._doc_ids.size, dtype=bool)
-        n_touched = 0
+        contrib = [None] * len(entries)   # entry -> (positions, scores)
         theta = -np.inf
-        n_ess = len(terms)
-        for i, (ub, term, df, idf, pbytes, skips, block_ub) in enumerate(terms):
-            if suffix_ub[i] < theta:
-                n_ess = i
+        n_ess = len(entries)
+        for a, i in enumerate(order.tolist()):
+            if suffix_ub[a] < theta * slack:
+                n_ess = a
                 break
-            pos, s = self._decode_term(term, df, pbytes, skips, idf)
-            if mask is not None:
-                keep = mask[pos]
-                pos, s = pos[keep], s[keep]
+            pos, s = contrib[i] = self._weighted_run(entries[i], mask)
             acc[pos] += s
             touched[pos] = True
-            if prefix_ub[i + 1] > suffix_ub[i + 1]:
-                n_touched = int(np.count_nonzero(touched))
-                if n_touched >= k:
-                    part = acc[touched]
-                    theta = float(np.partition(part, -k)[-k])
-        nz = np.flatnonzero(touched)
-        cand_pos = nz                               # positions (sorted)
-        cand_ids = self._doc_ids[nz]                # sorted unique
-        cand_scores = acc[nz]
+            if (prefix_ub[a + 1] > suffix_ub[a + 1] > 0.0
+                    and pos.size >= k):
+                theta = max(theta, float(np.partition(acc[pos], -k)[-k]))
+        cand_pos = np.flatnonzero(touched)
+        for a in range(n_ess, len(entries)):
+            cand_scores = acc[cand_pos]
+            if a > n_ess and cand_scores.size >= k:
+                theta = max(theta,
+                            float(np.partition(cand_scores, -k)[-k]))
+            keep = cand_scores + suffix_ub[a] >= theta * slack
+            cand_pos = cand_pos[keep]
+            if cand_pos.size == 0:
+                return []
+            i = int(order[a])
+            pos, s = contrib[i] = self._candidate_scores(entries[i],
+                                                         cand_pos)
+            acc[pos] += s
+        cand_scores = acc[cand_pos]
+        if cand_scores.size > k:
+            # every term is in: the kth-best full sum bounds the cut
+            kth = np.partition(cand_scores, -k)[-k]
+            cand_pos = cand_pos[cand_scores >= kth * slack]
+        final = np.zeros(cand_pos.size, dtype=np.float64)
+        for pos, s in contrib:
+            if pos.size:
+                j = np.minimum(np.searchsorted(pos, cand_pos), pos.size - 1)
+                hit = pos[j] == cand_pos
+                final[hit] += s[j[hit]]
+        return self._topk(self._doc_ids[cand_pos], final, k)
 
-        for j, (ub, term, df, idf, pbytes, skips, block_ub) in enumerate(
-                terms[n_ess:], start=n_ess):
-            # drop candidates that can no longer reach θ (strict);
-            # suffix_ub[j] = this term + all remaining ones
-            keep = cand_scores + suffix_ub[j] >= theta
-            cand_pos, cand_ids, cand_scores = (cand_pos[keep],
-                                               cand_ids[keep],
-                                               cand_scores[keep])
-            if cand_ids.size == 0:
-                break
-            need = self._candidate_blocks(skips, cand_ids)
-            if need.size == 0:
-                continue
-            if need.size * 4 >= skips.shape[0]:
-                # candidates touch most blocks: one vectorized full
-                # decode (cached, pre-scored) beats per-block access.
-                # Membership via a position->candidate-slot map — two
-                # O(n)/O(df) gathers instead of an O(df log c)
-                # searchsorted over a multi-M posting run.  The decoded
-                # run is docID-ascending, so the buffered adds land in
-                # the same per-candidate order as the searchsorted form.
-                dpos, s_all = self._decode_term(term, df, pbytes,
-                                                skips, idf)
-                slot = np.full(self._doc_ids.size, -1, np.int32)
-                slot[cand_pos] = np.arange(cand_pos.size, dtype=np.int32)
-                sl = slot[dpos]
-                hitmask = sl >= 0
-                if hitmask.any():
-                    # dpos unique within a term -> slots unique:
-                    # buffered fancy add is exact
-                    cand_scores[sl[hitmask]] += s_all[hitmask]
-            else:
-                slots, s = self._score_blocks(pbytes, skips, df, idf, need,
-                                              cand_ids)
-                # slots unique within a term: buffered fancy add is
-                # exact (and fast, unlike add.at)
-                cand_scores[slots] += s
-            if cand_scores.size >= k:
-                theta = float(np.partition(cand_scores, -k)[-k])
-        return self._topk(cand_ids, cand_scores, k)
+    def _bound(self, e: _Item, route) -> float:
+        """Upper bound of ``e``'s term's unweighted score: its largest
+        per-block score at (max_tf, min_doclen).  Computed once per
+        loader and kept in ``_bounds_cache`` with the term's df,
+        postings and skips, so a later miss of the decoded cache needs
+        no probe either."""
+        hit = self._bounds_cache.get(e.term)
+        if hit is None:
+            df, pbytes, skips = ((e.df, e.pbytes, e.skips)
+                                 if e.skips is not None
+                                 else self._lookup(e.term, route))
+            block_ub = self._term_score(skips[:, 2],
+                                        skips[:, 3].astype(np.float64),
+                                        self.idf(e.gdf))
+            ub = float(block_ub.max()) if block_ub.size else 0.0
+            hit = self._bounds_cache.put(e.term, (df, pbytes, skips, ub),
+                                         len(pbytes) + skips.nbytes)
+        return hit[3]
 
+    # a whole-term decode costs about as much as decoding this many of
+    # its blocks one at a time (255-block terms of a 60k-row index: 1.9
+    # to 3.0 ms whole vs 0.07 ms a block, 4 CPUs), and a whole decode
+    # is cached for later queries; fewer needed blocks than
+    # 1 / _BLOCK_SHARE of a term decode block by block
+    _BLOCK_SHARE = 16
 
-# --------------------------------------------------------------------------
-# brute-force oracle (tests): BM25 over raw token counts, no index
-# --------------------------------------------------------------------------
-
-def bm25_oracle(texts: list[str], doc_ids: list[int], queries: list[str],
-                cfg: EngineConfig = EngineConfig(), k: int = 10):
-    """Independent in-memory BM25 (FIXTURES.md §4): same formula, computed
-    from scratch with dict counting — no engine code paths shared beyond
-    the tokenizer spec."""
-    from collections import Counter
-    toks = [tokenize(t, cfg.cjk_unigrams) for t in texts]
-    tfs = [Counter(t) for t in toks]
-    dls = np.array([len(t) for t in toks], dtype=np.float64)
-    n = len(texts)
-    avgdl = dls.mean() if n else 1.0
-    df = Counter()
-    for c in tfs:
-        df.update(c.keys())
-    out = {}
-    for q in queries:
-        seen = set()
-        qterms = [t for t in tokenize(q, cfg.cjk_unigrams)
-                  if not (t in seen or seen.add(t))]
-        scores = np.zeros(n)
-        for t in qterms:
-            if df[t] == 0:
-                continue
-            idf = np.log(1.0 + (n - df[t] + 0.5) / (df[t] + 0.5))
-            for i, c in enumerate(tfs):
-                if t in c:
-                    tf = c[t]
-                    scores[i] += idf * tf * (cfg.k1 + 1) / (
-                        tf + cfg.k1 * (1 - cfg.b + cfg.b * dls[i] / avgdl))
-        ids = np.asarray(doc_ids, dtype=np.int64)
-        nz = scores > 0
-        order = np.lexsort((ids[nz], -scores[nz]))[:k]
-        out[q] = [(int(ids[nz][i]), float(scores[nz][i])) for i in order]
-    return out
+    def _candidate_scores(self, e: _Item, cand_pos: np.ndarray):
+        """Item ``e``'s weighted scores for (at least) the candidates at
+        the sorted positions ``cand_pos`` -> (positions, scores),
+        positions ascending and unique.  An uncached term whose
+        candidates fall in few of its blocks decodes only those blocks;
+        otherwise its whole run (cached) is searched for few candidates,
+        or returned whole for many: a non-candidate's score is never
+        read, and adding it is cheaper than finding the candidates."""
+        if e.run is None:
+            # the blocks whose docID window holds a candidate: binary
+            # search against the skip table's last_doc column
+            cand_ids = self._doc_ids[cand_pos]
+            need = np.unique(np.searchsorted(e.skips[:, 0], cand_ids))
+            need = need[need < e.skips.shape[0]]
+            if need.size * self._BLOCK_SHARE < e.skips.shape[0]:
+                ids, tfs = self._decode_blocks(e.pbytes, e.skips, e.df,
+                                               need)
+                slot = np.searchsorted(cand_ids, ids)
+                hit = slot < cand_ids.size
+                hit[hit] &= cand_ids[slot[hit]] == ids[hit]
+                pos = cand_pos[slot[hit]]
+                s = self._term_score(tfs[hit], self._doclens[pos],
+                                     self.idf(e.gdf))
+                return pos, (s if e.w == 1.0 else e.w * s)
+        pos, s = self._weighted_run(e)
+        if cand_pos.size * self._BLOCK_SHARE < pos.size:
+            j = np.minimum(np.searchsorted(pos, cand_pos), pos.size - 1)
+            hit = pos[j] == cand_pos
+            return cand_pos[hit], s[j[hit]]
+        return pos, s

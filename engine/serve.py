@@ -234,16 +234,19 @@ class ShardWorker:
         also shrink the bytes on the wire."""
         out = {}
         mask = self.idx._filter_mask(where, where_range)
-        # one routing hash serves every term's df probe and decode
+        # one routing hash serves every uncached term; a cached run
+        # carries its df, so a warm term is neither hashed nor probed
         route = self.idx._router(terms)
-        for t, df in zip(terms, self.idx.dfs_of(terms, route)):
-            ent = self.idx.score_term_range(t, route)
-            if ent is not None and mask is not None:
-                keep = mask[self.idx._held(ent[0])[0]]
-                ent = (ent[0][keep], ent[1][keep]) if keep.any() else None
+        for t in terms:
+            dec = self.idx._decoded(t, route)
+            pos, s = (None, None) if dec is None else dec[:2]
+            if pos is not None and mask is not None:
+                keep = mask[pos]
+                pos, s = pos[keep], s[keep]
             # df rides along for the front's sum_order: a term's one
             # part holds ALL its postings, so this df is the global df
-            out[t] = None if ent is None else (*ent, df)
+            out[t] = (None if pos is None or pos.size == 0
+                      else (self.idx._doc_ids[pos], s, dec[2]))
         return out
 
     def term_doc_ids(self, terms: list[str]) -> dict:
@@ -769,10 +772,9 @@ class DocShardedQueryService:
     distributed-statistics exchange instead: phase 1 sums each shard's
     df for the query terms and pushes global N/avgdl once at startup;
     phase 2 shards score with those GLOBAL stats, so the merged top-k
-    is exact.  With ``method="daat"`` scores are BIT-identical to a
-    single global index (pytest-asserted; the sum order keys on the
-    global df); with ``method="bmw"`` they agree to the last ulp, as
-    local bmw and daat do.
+    is exact: scores are BIT-identical to a single global index on
+    either route (pytest-asserted; the sum order keys on the global
+    df).
 
     Every other clause is a per-doc predicate over docs each shard
     owns whole (where / where_range sidecars, must / exclude /

@@ -18,7 +18,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from engine.fixtures import gen_webtext, STOPWORDS, _VOCAB, TIERS
-from engine.query import bm25_oracle
+from bm25_oracle import bm25_oracle
 from engine.tokenize import doc_ids_from_urls
 
 HERE = os.path.dirname(os.path.abspath(__file__))

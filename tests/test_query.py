@@ -15,7 +15,7 @@ import pytest
 
 from engine.build import build_index
 from engine.config import EngineConfig
-from engine.query import InvertedIndex, bm25_oracle
+from engine.query import InvertedIndex
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CFG = EngineConfig(num_parts=8, docmeta_parts=3)
@@ -69,8 +69,8 @@ def test_degenerate_k(index):
 
 
 def test_bmw_equals_daat_random(index):
-    """Property: WAND pruning never changes results (50 random queries
-    built from indexed terms)."""
+    """Property: the default route never changes results, to the bit
+    (50 random queries built from indexed terms)."""
     rng = np.random.default_rng(123)
     # sample real terms from one part's dictionary (sorted term array)
     entry, _, _ = index._load_part(0)
@@ -80,9 +80,7 @@ def test_bmw_equals_daat_random(index):
         q = " ".join(terms[int(i)] for i in rng.integers(0, len(terms), n))
         a = index.search(q, k=10, method="daat")
         b = index.search(q, k=10, method="bmw")
-        assert [d for d, _ in a] == [d for d, _ in b], q
-        for (_, sa), (_, sb) in zip(a, b):
-            assert sa == pytest.approx(sb, rel=1e-9)
+        assert a == b, q
 
 
 def test_url_hydration(index):

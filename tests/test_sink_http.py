@@ -196,6 +196,35 @@ def test_search_endpoint_matches_local(http_engine):
     assert all(h["url"] for h in resp["hits"])
 
 
+def test_search_answers_strict_json(http_engine, monkeypatch):
+    """No response carries NaN or Infinity, which are not JSON: finite
+    weights whose products overflow answer 400, and the one response
+    writer turns a non-finite value any route hands it into a 500."""
+    srv, base = http_engine
+    status, resp = _post(f"{base}/v1/search",
+                         {"weights": {"the": 1e308, "of": 1e308,
+                                      "house": 1e308}})
+    assert status == 400 and resp["error"]["code"] == "invalid_request"
+    assert "finite" in resp["error"]["message"]
+    monkeypatch.setattr(srv, "_search",
+                        lambda req: (200, {"score": float("nan")}))
+    status, resp = _post(f"{base}/v1/search", {"query": "the"})
+    assert status == 500 and resp["error"]["code"] == "internal_error"
+
+
+def test_facet_histogram_request_shape(http_engine):
+    """A facet_histogram that is not {"col": str, "edges": [...]} is a
+    malformed request (400 invalid_request), not a missing sidecar or
+    a bad column type."""
+    _, base = http_engine
+    for hist in ({"col": "lang"}, "x", {"edges": [0, 1]},
+                 {"col": "lang", "edges": 3}):
+        status, resp = _post(f"{base}/v1/search",
+                             {"query": "the", "facet_histogram": hist})
+        assert status == 400, hist
+        assert resp["error"]["code"] == "invalid_request", hist
+
+
 def test_base64_image_routing(http_engine):
     """M11 classifier + F9 decode: all-image -> unsupported_model,
     mixed -> mixed_input_types (reference server routing semantics)."""

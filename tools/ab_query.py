@@ -17,6 +17,19 @@ mix's working set / 10).  Without ``--index`` the tool generates the
 seed's fixture and builds the positional index once, in a 2-CPU Ray
 session, with the engine of the checkout it lives in; with ``--index``
 it copies that index instead.  Everything goes under ``--workdir``.
+
+``--rows N`` replaces perfbench's 3,000-row fixture with N rows of
+``engine.fixtures.gen_webtext`` (same seed and duplicate rate) and draws
+the mix from them with perfbench's ``fixture.make_query_mix``: the
+scale point where pruning can pay.  ``--parent-route`` /
+``--change-route`` force one side's BM25/weighted route (``pruned`` or
+``exhaustive``, by patching ``InvertedIndex._prunes``); both routes
+return the same bits, so the digests must still agree.  To time the
+routes against each other, pass one checkout as both sides:
+
+    python tools/ab_query.py --parent . --change . --rows 60000 \
+        --parent-route exhaustive --change-route pruned
+
 A table goes to stderr; the last line of stdout is the whole result as
 JSON.  Exits 1 when the two sides' answers differ.
 
@@ -36,6 +49,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+import pyarrow.parquet as pq
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -59,6 +74,10 @@ def worker(args) -> None:
     from lifecycle import query_items, run_query
     from engine.query import InvertedIndex
 
+    if args.route != "default":
+        # the one routing predicate: forced either way, the same bits
+        forced = args.route == "pruned"
+        InvertedIndex._prunes = lambda self, entries, k: forced
     probe = HostProbe()
     with open(args.mix) as f:
         mix = json.load(f)
@@ -99,11 +118,24 @@ def prepare(args) -> tuple[str, str, int]:
     from oracle import Corpus
 
     os.makedirs(args.workdir, exist_ok=True)
-    fx = fixture.make_fixture(os.path.join(args.workdir, "fixtures"),
-                              args.seed)
-    corpus = Corpus.from_parquet(fx["all"])
+    if args.rows:
+        from engine.fixtures import gen_webtext
+        name = f"s{args.seed}-n{args.rows}"
+        src = os.path.join(args.workdir, f"webtext-{name}")
+        if not os.path.isdir(src):
+            table = gen_webtext(args.rows, seed=args.seed,
+                                dup_rate=fixture.DUP_RATE)
+            os.makedirs(src + ".tmp", exist_ok=True)
+            pq.write_table(table,
+                           os.path.join(src + ".tmp", "part-0.parquet"))
+            os.replace(src + ".tmp", src)
+    else:
+        name = f"s{args.seed}"
+        src = fixture.make_fixture(os.path.join(args.workdir, "fixtures"),
+                                   args.seed)["all"]
+    corpus = Corpus.from_parquet(src)
     mix = fixture.make_query_mix(args.seed, corpus)
-    mix_path = os.path.join(args.workdir, f"mix-s{args.seed}.json")
+    mix_path = os.path.join(args.workdir, f"mix-{name}.json")
     with open(mix_path, "w") as f:
         json.dump(mix, f)
     # perfbench's own budget rule, fed this seed's corpus and mix
@@ -111,7 +143,7 @@ def prepare(args) -> tuple[str, str, int]:
     s.corpus, s.mix = corpus, mix
     budget = s.cache_budget(args.budget)
 
-    index = os.path.join(args.workdir, f"index-s{args.seed}")
+    index = os.path.join(args.workdir, f"index-{name}")
     shutil.rmtree(index, ignore_errors=True)
     if args.index:
         shutil.copytree(args.index, index)
@@ -122,21 +154,21 @@ def prepare(args) -> tuple[str, str, int]:
         ray.init(address="local", num_cpus=2, include_dashboard=False,
                  logging_level="ERROR", log_to_driver=False)
         try:
-            build_index(fx["all"], index, EngineConfig(store_positions=True),
+            build_index(src, index, EngineConfig(store_positions=True),
                         resume=False)
         finally:
             ray.shutdown()
     return index, mix_path, budget
 
 
-def run_side(args, checkout: str, index: str, mix: str,
+def run_side(args, checkout: str, route: str, index: str, mix: str,
              budget: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(checkout))
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker",
          "--checkout", checkout, "--index", index, "--mix", mix,
          "--seed", str(args.seed), "--best-of", str(args.best_of),
-         "--budget-bytes", str(budget)],
+         "--budget-bytes", str(budget), "--route", route],
         cwd=os.path.abspath(checkout), env=env, capture_output=True,
         text=True)
     if out.returncode != 0:
@@ -154,6 +186,12 @@ def main() -> int:
     ap.add_argument("--best-of", type=int, default=5)
     ap.add_argument("--budget", choices=("warm", "cold"), default="warm")
     ap.add_argument("--index", help="existing positional index to copy")
+    ap.add_argument("--rows", type=int,
+                    help="gen_webtext rows instead of perfbench's fixture")
+    for side in ("parent", "change"):
+        ap.add_argument(f"--{side}-route", default="default",
+                        choices=("default", "pruned", "exhaustive"),
+                        help=f"route forced on the {side} side")
     ap.add_argument("--workdir",
                     default=os.path.join(ROOT, ".perfbench", "ab"))
     # worker mode (internal)
@@ -161,6 +199,7 @@ def main() -> int:
     ap.add_argument("--checkout", help=argparse.SUPPRESS)
     ap.add_argument("--mix", help=argparse.SUPPRESS)
     ap.add_argument("--budget-bytes", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--route", default="default", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
         worker(args)
@@ -169,17 +208,21 @@ def main() -> int:
         ap.error("--parent is required")
 
     index, mix, budget = prepare(args)
-    sides = {"parent": args.parent, "change": args.change}
+    sides = {"parent": (args.parent, args.parent_route),
+             "change": (args.change, args.change_route)}
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pairs.append({name: run_side(args, sides[name], index, mix, budget)
+        pairs.append({name: run_side(args, *sides[name], index, mix, budget)
                       for name in order} | {"first": order[0]})
     digests_equal = all(p["parent"]["digest"] == p["change"]["digest"]
                         for p in pairs)
     log = sys.stderr
-    print(f"seed {args.seed}, budget {args.budget} ({budget} B), "
-          f"best of {args.best_of}, {args.pairs} pairs", file=log)
+    print(f"seed {args.seed}, rows {args.rows or 'perfbench'}, budget "
+          f"{args.budget} ({budget} B), best of {args.best_of}, "
+          f"{args.pairs} pairs, routes {args.parent_route} -> "
+          f"{args.change_route}, {len(os.sched_getaffinity(0))} CPUs",
+          file=log)
     for i, p in enumerate(pairs):
         print(f"pair {i} (first: {p['first']})", file=log)
         for k in KINDS:
@@ -198,7 +241,10 @@ def main() -> int:
                   f"{h['steal_share']}", file=log)
     print(f"digests {'equal' if digests_equal else 'DIFFER'}: "
           f"{pairs[0]['parent']['digest'][:16]}", file=log)
-    print(json.dumps({"seed": args.seed, "budget": args.budget,
+    print(json.dumps({"seed": args.seed, "rows": args.rows,
+                      "routes": [args.parent_route, args.change_route],
+                      "cpus": len(os.sched_getaffinity(0)),
+                      "budget": args.budget,
                       "budget_bytes": budget, "best_of": args.best_of,
                       "digests_equal": digests_equal, "pairs": pairs}))
     return 0 if digests_equal else 1
