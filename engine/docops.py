@@ -247,13 +247,18 @@ def q_corpus_stats(sf_dir: str) -> pd.DataFrame:
 BM25_QUERY = "hash join table"
 
 
-def q_bm25_topk(sf_dir: str) -> pd.DataFrame:
-    idx = docs_index(sf_dir)
-    hits = idx.search(BM25_QUERY, k=10, method="bmw")
+def _hits_frame(hits) -> pd.DataFrame:
+    """A search answer as the contract's (doc_id int64, score rounded
+    to 6 places) frame."""
     return pd.DataFrame({
         "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
         "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
     })
+
+
+def q_bm25_topk(sf_dir: str) -> pd.DataFrame:
+    idx = docs_index(sf_dir)
+    return _hits_frame(idx.search(BM25_QUERY, k=10, method="bmw"))
 
 
 # SPLADE-style learned-sparse query vector: weights are exact binary
@@ -266,11 +271,7 @@ def q_search_weighted(sf_dir: str) -> pd.DataFrame:
     query_weight * per-term BM25 contribution (engine/query.py
     search_weighted)."""
     idx = docs_index(sf_dir)
-    hits = idx.search_weighted(WEIGHTED_QUERY, k=10)
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
-    })
+    return _hits_frame(idx.search_weighted(WEIGHTED_QUERY, k=10))
 
 
 def q_weighted_totals(sf_dir: str) -> pd.DataFrame:
@@ -294,12 +295,8 @@ def q_search_weighted_filtered(sf_dir: str) -> pd.DataFrame:
     the Lucene filter-query rule applied to the SPLADE seam."""
     idx = docs_index(sf_dir)
     _ensure_docvalues(idx, sf_dir)
-    hits = idx.search_weighted(WEIGHTED_QUERY, k=10,
-                               where=("lang", ("en",)))
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
-    })
+    return _hits_frame(idx.search_weighted(WEIGHTED_QUERY, k=10,
+                                           where=("lang", ("en",))))
 
 
 DOCVALUE_COLS = ["lang", "n_chars"]
@@ -336,12 +333,8 @@ def q_bm25_topk_filtered(sf_dir: str) -> pd.DataFrame:
     unfiltered bm25_topk score."""
     idx = docs_index(sf_dir)
     _ensure_docvalues(idx, sf_dir)
-    hits = idx.search(BM25_QUERY, k=10, where=("lang", ("en",)))
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits],
-                           dtype=np.float64),
-    })
+    return _hits_frame(idx.search(BM25_QUERY, k=10,
+                                  where=("lang", ("en",))))
 
 
 def q_bm25_topk_range(sf_dir: str) -> pd.DataFrame:
@@ -351,13 +344,8 @@ def q_bm25_topk_range(sf_dir: str) -> pd.DataFrame:
     the factorized dictionary); statistics stay global."""
     idx = docs_index(sf_dir)
     _ensure_docvalues(idx, sf_dir)
-    hits = idx.search(BM25_QUERY, k=10,
-                      where_range=("n_chars", 500, 2500))
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits],
-                           dtype=np.float64),
-    })
+    return _hits_frame(idx.search(BM25_QUERY, k=10,
+                                  where_range=("n_chars", 500, 2500)))
 
 
 def q_bm25_topk_filtered_narrow(sf_dir: str) -> pd.DataFrame:
@@ -372,13 +360,8 @@ def q_bm25_topk_filtered_narrow(sf_dir: str) -> pd.DataFrame:
     idx = docs_index(sf_dir)
     _ensure_docvalues(idx, sf_dir)
     assert idx.filtered_dense_cutoff >= 0.25   # default routing in force
-    hits = idx.search(BM25_QUERY, k=10,
-                      where_range=("n_chars", 200, 240))
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits],
-                           dtype=np.float64),
-    })
+    return _hits_frame(idx.search(BM25_QUERY, k=10,
+                                  where_range=("n_chars", 200, 240)))
 
 
 def q_bm25_topk_not(sf_dir: str) -> pd.DataFrame:
@@ -387,12 +370,7 @@ def q_bm25_topk_not(sf_dir: str) -> pd.DataFrame:
     (the excluded term contributes nothing — Lucene BooleanQuery
     semantics, engine/query.py search(exclude=...))."""
     idx = docs_index(sf_dir)
-    hits = idx.search(BM25_QUERY, k=10, exclude="sort")
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits],
-                           dtype=np.float64),
-    })
+    return _hits_frame(idx.search(BM25_QUERY, k=10, exclude="sort"))
 
 
 def q_facet_nchars_hist(sf_dir: str) -> pd.DataFrame:
@@ -438,12 +416,7 @@ def q_bm25_topk_must(sf_dir: str) -> pd.DataFrame:
     'merge', scores still sum all of the query's matching terms
     (engine/query.py search(must=...))."""
     idx = docs_index(sf_dir)
-    hits = idx.search(BM25_QUERY, k=10, must="merge")
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits],
-                           dtype=np.float64),
-    })
+    return _hits_frame(idx.search(BM25_QUERY, k=10, must="merge"))
 
 
 def q_suggest_terms(sf_dir: str) -> pd.DataFrame:
@@ -476,11 +449,7 @@ def q_bm25_topk_and(sf_dir: str) -> pd.DataFrame:
     """Conjunctive (boolean-AND) BM25 top-k: only docs containing every
     query term rank; same scoring as bm25_topk over the survivors."""
     idx = docs_index(sf_dir)
-    hits = idx.search(BM25_QUERY, k=10, require_all=True)
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
-    })
+    return _hits_frame(idx.search(BM25_QUERY, k=10, require_all=True))
 
 
 def q_bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
@@ -492,11 +461,7 @@ def q_bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
     base = docs_index(sf_dir)
     deleted = base._doc_ids[base._doc_ids % 7 == 0]
     idx = InvertedIndex(base.index_dir, deleted=deleted)
-    hits = idx.search(BM25_QUERY, k=10)
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
-    })
+    return _hits_frame(idx.search(BM25_QUERY, k=10))
 
 
 STOP_QUERY = "the a value"  # high-df terms: the default route's cost rule
@@ -504,11 +469,7 @@ STOP_QUERY = "the a value"  # high-df terms: the default route's cost rule
 
 def q_bm25_topk_stop(sf_dir: str) -> pd.DataFrame:
     idx = docs_index(sf_dir)
-    hits = idx.search(STOP_QUERY, k=10, method="bmw")
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
-    })
+    return _hits_frame(idx.search(STOP_QUERY, k=10, method="bmw"))
 
 
 # positional twin of DOCS_CFG: same layout plus per-occurrence token
@@ -524,11 +485,7 @@ def q_phrase_topk(sf_dir: str) -> pd.DataFrame:
     terms (engine/query.py search_phrase; postings + delta+varbyte
     position runs, Lucene .prx shape)."""
     idx = docs_index(sf_dir, DOCS_POS_CFG)
-    hits = idx.search_phrase(PHRASE_QUERY, k=10)
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
-    })
+    return _hits_frame(idx.search_phrase(PHRASE_QUERY, k=10))
 
 
 NEAR_QUERY, NEAR_SLOP = "hash table", 2
@@ -539,11 +496,7 @@ def q_phrase_near_topk(sf_dir: str) -> pd.DataFrame:
     interleaving tokens (ordered-window semantics: total gap
     p_n - p_1 - (n-1) <= slop), BM25-ranked like phrase_topk."""
     idx = docs_index(sf_dir, DOCS_POS_CFG)
-    hits = idx.search_phrase(NEAR_QUERY, k=10, slop=NEAR_SLOP)
-    return pd.DataFrame({
-        "doc_id": pd.Series([d for d, _ in hits], dtype=np.int64),
-        "score": pd.Series([round(s, 6) for _, s in hits], dtype=np.float64),
-    })
+    return _hits_frame(idx.search_phrase(NEAR_QUERY, k=10, slop=NEAR_SLOP))
 
 
 LOOKUP_TERM = "hash"

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import contextlib
 import json
 import math
 import os
@@ -176,11 +175,6 @@ class EngineHttpServer:
         # routes to service.search(query, k) instead of the in-process
         # index — the cluster-serving front (tools/serve_job.py)
         self.service = service
-        # ThreadingHTTPServer handles requests concurrently; the
-        # InvertedIndex caches lock themselves, but its lazily filled
-        # part / doc-values state does not, so searches serialize on a
-        # lock; for parallel query serving use engine.serve's actor tiers
-        self._search_lock = threading.Lock()
         # vision feature slot: projection built once per server (the
         # reference builds the vision embedder per request from HF —
         # warm-start here, same heavy-init/cheap-call split)
@@ -245,19 +239,24 @@ class EngineHttpServer:
                                            "invalid_request_error",
                                            "invalid_request"))
                     return
-                if self.path == "/v1/embeddings":
-                    self._send(*outer._embeddings(req))
-                elif self.path == "/v1/search":
-                    self._send(*outer._search(req))
-                elif self.path == "/v1/suggest":
-                    self._send(*outer._suggest(req))
-                elif self.path == "/v1/pdf_embeddings":
-                    self._send(*outer._pdf_embeddings(req))
-                elif self.path == "/v1/image_embeddings":
-                    self._send(*outer._image_embeddings(req))
-                else:
+                route = {"/v1/embeddings": outer._embeddings,
+                         "/v1/search": outer._search,
+                         "/v1/suggest": outer._suggest,
+                         "/v1/pdf_embeddings": outer._pdf_embeddings,
+                         "/v1/image_embeddings": outer._image_embeddings,
+                         }.get(self.path)
+                if route is None:
                     self._send(404, _error("not found", "invalid_request_error",
                                            "unknown_route"))
+                    return
+                try:
+                    out = route(req)
+                except Exception as e:
+                    # an engine fault (a missing index part, an
+                    # AttributeError inside a supported call): a JSON
+                    # 500, never a dropped connection
+                    out = _internal_error(e)
+                self._send(*out)
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self.port = self._httpd.server_port
@@ -302,16 +301,14 @@ class EngineHttpServer:
         }
 
     def _backend(self):
-        """-> (backend, lock): the service tier, or the local index
-        under ``_search_lock`` (its lazily filled state is not
-        thread-safe; the actor tiers serialize inside their own
-        workers)."""
-        if self.service is not None:
-            return self.service, contextlib.nullcontext()
-        return self.index, self._search_lock
+        """The service tier, or else the local index.  Handler threads
+        call either without a lock: nothing mutates a loader after
+        construction (its caches lock themselves, and its lazy part and
+        doc-values loads are idempotent single assignments)."""
+        return self.service if self.service is not None else self.index
 
     def _search(self, req: dict) -> tuple[int, dict]:
-        backend, lock = self._backend()
+        backend = self._backend()
         if backend is None:
             return 400, _error("no index mounted", "invalid_request_error",
                                "no_index")
@@ -443,28 +440,24 @@ class EngineHttpServer:
                                "tier", "invalid_request_error", code)
         facets = hrows = snips = total = None
         try:
-            with lock:
-                hits = getattr(backend, search)(
-                    target, k=k + offset, **search_kw)[offset:]
-                ids = [d for d, _ in hits]
-                urls = backend.url_of(ids) if hits else []
-                if with_total:
-                    total = getattr(backend, count)(target, **kwargs)
-                if snippets and hits:
-                    # every serving tier hydrates shard/replica-side
-                    # (serve.py snippets_of) — only window strings move
-                    snips = backend.snippets_of(snip_q, ids, snippet_col)
-                if facet_col:
-                    facets = backend.facet_counts(query, facet_col,
-                                                  **kwargs)
-                if hist:
-                    hrows = backend.facet_histogram(
-                        query, hist["col"], hist["edges"], **kwargs)
+            hits = getattr(backend, search)(
+                target, k=k + offset, **search_kw)[offset:]
+            ids = [d for d, _ in hits]
+            urls = backend.url_of(ids) if hits else []
+            if with_total:
+                total = getattr(backend, count)(target, **kwargs)
+            if snippets and hits:
+                # every serving tier hydrates shard/replica-side
+                # (serve.py snippets_of) — only window strings move
+                snips = backend.snippets_of(snip_q, ids, snippet_col)
+            if facet_col:
+                facets = backend.facet_counts(query, facet_col, **kwargs)
+            if hist:
+                hrows = backend.facet_histogram(
+                    query, hist["col"], hist["edges"], **kwargs)
         except (FileNotFoundError, DocValuesMissing) as e:  # sidecar/col
             return 400, _error(str(e), "invalid_request_error",
                                "no_doc_values")
-        except AttributeError as e:
-            return _internal_error(e)
         except ValueError as e:
             # engine-side request-shape errors with a clear message
             # (e.g. phrase search over a non-positional index)
@@ -666,7 +659,7 @@ class EngineHttpServer:
     def _suggest(self, req: dict) -> tuple[int, dict]:
         """Prefix autocomplete: {"prefix": ..., "k": 10} ->
         {"suggestions": [{"term", "df"}]} (engine/query.py suggest)."""
-        backend, lock = self._backend()
+        backend = self._backend()
         if backend is None:
             return 400, _error("no index mounted", "invalid_request_error",
                                "no_index")
@@ -682,11 +675,7 @@ class EngineHttpServer:
             return 400, _error(
                 "suggest not supported by this serving tier",
                 "invalid_request_error", "unsupported_suggest")
-        try:
-            with lock:
-                rows = backend.suggest(prefix, k=k)
-        except AttributeError as e:
-            return _internal_error(e)
+        rows = backend.suggest(prefix, k=k)
         return 200, {"suggestions": [
             {"term": t, "df": int(df)} for t, df in rows]}
 

@@ -39,6 +39,12 @@ COMMIT = "_COMMIT.json"
 DELETES = "_deletes.parquet"
 
 
+class CorruptIndexError(OSError):
+    """A part the manifest lists is missing or unreadable: a server
+    fault, never an empty lookup (and never a FileNotFoundError, which
+    callers read as an absent optional sidecar)."""
+
+
 def delete_docs(index_dir: str, doc_ids) -> int:
     """Tombstone-delete documents: union ``doc_ids`` into the index's
     deletion overlay (``_deletes.parquet``, one sorted-unique int64

@@ -53,6 +53,7 @@ distributed query serving (one `QueryActor` per replica).
 
 from __future__ import annotations
 
+import copy
 import os
 from typing import NamedTuple
 
@@ -112,9 +113,10 @@ def weight_items(term_weights) -> list[tuple[str, float]]:
 
 class _Item(NamedTuple):
     """One (term, weight) of a query as the top-k core scores it: its
-    global df (the ``sum_order`` key), its local df (postings to
-    decode), and either its cached run ``(pos, scores, df)`` or the
-    encoded postings and skips a miss decodes from."""
+    global df (the ``sum_order`` key and the idf's df), its local df
+    (postings to decode), and either its cached run ``(pos, scores,
+    df, gdf)`` or the encoded postings and skips a miss decodes
+    from."""
     term: str
     w: float
     gdf: int
@@ -132,19 +134,30 @@ class InvertedIndex:
     lives in engine.serve.ShardedQueryService (scatter-gather over this
     same loader); docmeta sharding per actor group is the remaining
     documented step.
+
+    Nothing mutates a loader after construction, so one loader serves
+    concurrent searches with no lock.  Its caches are ``LRUCache``s
+    (thread-safe) or per-key single assignments of idempotent loads.
+    Corpus statistics are inputs: ``stats=(n_docs, avgdl)`` replaces
+    the manifest's (a doc-range shard scoring with GLOBAL statistics),
+    and per-term global dfs come with a call through ``scored_with``.
+    A decoded run records the global df it was scored with, so a
+    request whose df differs re-decodes that term alone.
     """
 
     def __init__(self, index_dir: str, use_mmap: bool = True,
                  cache_budget_bytes: int = 1 << 30,
                  doc_range: tuple[int, int] | None = None,
-                 deleted=None):
+                 deleted=None,
+                 stats: tuple[int, float] | None = None):
         self.index_dir = index_dir
         self.use_mmap = use_mmap  # serving default: page-cache-backed blobs
         self.manifest = index_io.load_manifest(index_dir)
         self.cfg = EngineConfig.from_dict(self.manifest["config"])
         st = self.manifest["stats"]
-        self.n_docs = int(st["n_docs"])
-        self.avgdl = float(st["avgdl"]) or 1.0
+        n_docs, avgdl = stats or (st["n_docs"], st["avgdl"])
+        self.n_docs = int(n_docs)
+        self.avgdl = float(avgdl) or 1.0
         # doc_range=[lo, hi): this loader holds ONLY that range's docmeta
         # (O(corpus / n_ranges) resident) and decodes only posting blocks
         # intersecting the range — the term-sharded serving tier's
@@ -172,8 +185,9 @@ class InvertedIndex:
         if held.any():
             self._del_mask = np.zeros(self._doc_ids.size, dtype=bool)
             self._del_mask[pos[held]] = True
-        self._term_cache: dict[int, dict] = {}
-        self._blob_cache: dict[int, tuple[bytes, bytes]] = {}
+        # part -> (dictionary, postings blob, skips blob), stored in one
+        # assignment so a concurrent reader never sees half a part
+        self._parts: dict[int, tuple] = {}
         self._posblob_cache: dict[int, bytes] = {}  # positional indexes
         # decoded-term caches budget BYTES, not term count: one
         # stopword list at 10^6+ df decodes to tens of MB, so a count
@@ -181,8 +195,8 @@ class InvertedIndex:
         # measured 1.02 s p95 at 1.6M docs with a 64-term cap) or
         # overruns memory.  LRU by bytes holds the query working set.
         self._postings_cache = LRUCache(cache_budget_bytes)  # hot terms
-        # the pruned route's per-term state, computed once per loader:
-        # term -> (df, postings bytes, skips, per-block score bounds)
+        # the pruned route's per-term state, computed once per global
+        # df: term -> (df, postings bytes, skips, global df, score bound)
         self._bounds_cache = LRUCache(max(1 << 20, cache_budget_bytes // 8))
         self._positions_cache = LRUCache(cache_budget_bytes)  # phrase terms
         # doc-values sidecars (engine/docvalues.py): per column, the
@@ -193,40 +207,26 @@ class InvertedIndex:
         # (col, lo, hi) tuple is its own key — per-tenant filters or
         # sliding range windows would otherwise grow it without bound
         self._dv_mask_cache = LRUCache(max(1 << 20, cache_budget_bytes // 8))
-        # distributed-serving hooks: a doc-range shard scores with GLOBAL
-        # statistics so per-shard top-k merges are exact (classic
-        # distributed-IDF exchange).  df overrides are per-term corpus
-        # dfs; n_docs/avgdl are overridden via set_global_stats.
-        self._df_overrides: dict[str, int] = {}
+        # term -> global df to score with; empty here, set per call on a
+        # ``scored_with`` view
+        self._gdfs: dict[str, int] = {}
 
     @property
     def cache_budget_bytes(self) -> int:
         """Byte budget of each decoded-term cache (scores, positions)."""
         return self._postings_cache.budget
 
-    def set_global_stats(self, n_docs: int, avgdl: float,
-                         dfs: dict[str, int] | None = None) -> None:
-        """Override corpus statistics (doc-sharded serving: every shard
-        must score with the GLOBAL N/avgdl/df for exact merged top-k).
-        Clears the decoded-term and block-bound caches — both embed the
-        old idf."""
-        self.n_docs = int(n_docs)
-        self.avgdl = float(avgdl) or 1.0
-        if dfs:
-            self._df_overrides.update(dfs)
-        self._postings_cache.clear()
-        self._bounds_cache.clear()
-
-    def add_df_overrides(self, dfs: dict[str, int]) -> None:
-        """Merge per-term global dfs (stable per term, so previously
-        cached scores for OTHER terms stay valid; a term present here
-        before its first decode is scored with the global idf)."""
-        for t, df in dfs.items():
-            old = self._df_overrides.get(t)
-            if old != df:
-                self._df_overrides[t] = df
-                self._postings_cache.pop(t)
-                self._bounds_cache.pop(t)
+    def scored_with(self, dfs: dict[str, int] | None) -> "InvertedIndex":
+        """This loader as one call sees it when each term of ``dfs``
+        scores with that global df (the doc-sharded tier's distributed-
+        IDF exchange): a shallow copy that shares every cache and
+        differs only in its df map.  Without ``dfs``, the loader
+        itself."""
+        if not dfs:
+            return self
+        view = copy.copy(self)
+        view._gdfs = dict(dfs)
+        return view
 
     # -- doc-values filters ---------------------------------------------------
     def _load_doc_values(self, col: str):
@@ -316,33 +316,41 @@ class InvertedIndex:
         cost seconds per part at real web vocabularies (10^5-10^6
         terms/part).  Sortedness is
         verified with one vectorized Arrow compare at load (fail-loud
-        on a corrupt segment rather than silently missing terms)."""
-        if part not in self._term_cache:
-            d = index_io.part_dir(self.index_dir, "postings", part)
-            if not os.path.isdir(d):
-                self._term_cache[part] = None
-                self._blob_cache[part] = (b"", b"")
-            else:
-                terms, postings, skips = index_io.read_postings_part(
-                    self.index_dir, part, use_mmap=self.use_mmap)
-                ca = terms.column("term").combine_chunks()
-                if len(ca) > 1:
-                    import pyarrow.compute as pc
-                    ok = pc.all(pc.less_equal(
-                        ca.slice(0, len(ca) - 1), ca.slice(1))).as_py()
-                    if not ok:
-                        raise ValueError(
-                            f"part {part}: term dictionary not sorted")
-                term_arr = ca.to_numpy(zero_copy_only=False)
-                cols = list(self._TERM_COLS)
-                if "pos_off" in terms.column_names:  # positional segment
-                    cols += ["pos_off", "pos_len"]
-                nums = np.column_stack(
-                    [terms.column(c).to_numpy() for c in cols]
-                ).astype(np.int64, copy=False)
-                self._term_cache[part] = (term_arr, nums)
-                self._blob_cache[part] = (postings, skips)
-        return self._term_cache[part], *self._blob_cache[part]
+        on a corrupt segment rather than silently missing terms).
+        -> (dictionary or None, postings, skips): a part the manifest
+        does not list holds no term; a listed part whose directory is
+        gone raises ``CorruptIndexError``."""
+        hit = self._parts.get(part)
+        if hit is not None:
+            return hit
+        d = index_io.part_dir(self.index_dir, "postings", part)
+        if os.path.isdir(d):
+            terms, postings, skips = index_io.read_postings_part(
+                self.index_dir, part, use_mmap=self.use_mmap)
+            ca = terms.column("term").combine_chunks()
+            if len(ca) > 1:
+                import pyarrow.compute as pc
+                ok = pc.all(pc.less_equal(
+                    ca.slice(0, len(ca) - 1), ca.slice(1))).as_py()
+                if not ok:
+                    raise ValueError(
+                        f"part {part}: term dictionary not sorted")
+            cols = list(self._TERM_COLS)
+            if "pos_off" in terms.column_names:  # positional segment
+                cols += ["pos_off", "pos_len"]
+            nums = np.column_stack(
+                [terms.column(c).to_numpy() for c in cols]
+            ).astype(np.int64, copy=False)
+            hit = ((ca.to_numpy(zero_copy_only=False), nums), postings,
+                   skips)
+        elif f"postings:{part:05d}" in self.manifest.get("parts", {}):
+            raise index_io.CorruptIndexError(
+                f"postings part {part} is listed in the manifest but "
+                f"{d} is missing")
+        else:
+            hit = (None, b"", b"")
+        self._parts[part] = hit
+        return hit
 
     def _term_row(self, part: int, term: str):
         """Binary-search probe of ``part``'s dictionary -> [df, cf, po,
@@ -626,17 +634,16 @@ class InvertedIndex:
                                     must, exclude, where, where_range)
         return 0 if matched is None else int(matched.sum())
 
-    def _decoded(self, term: str, route=None):
-        """One term's full decode -> (pos, scores, df), or None when the
-        term is absent: its cached run, read with no routing hash and
-        no dictionary probe (the cached scores already carry the global
-        idf — a df override evicts the term), or else its decode, as
-        ``_item`` resolves it (``route``: the request's ``_router``; the
-        term's own ``part_of`` hash when None).  Scores use the GLOBAL
-        (overridden) idf, as in search(): mask-only callers ignore
-        them, but the decode CACHES them — the local df would poison
-        the cache for scored searches on a doc-range shard."""
-        e = self._item(term, 1.0, route)
+    def _decoded(self, term: str, route=None, scored: bool = True):
+        """One term's full decode -> (pos, scores, df, gdf), or None
+        when the term is absent: its cached run, read with no routing
+        hash and no dictionary probe, or else its decode, as ``_item``
+        resolves it (``route``: the request's ``_router``; the term's
+        own ``part_of`` hash when None).  ``scored=False`` (mask-only
+        callers, which read positions alone) takes a cached run scored
+        with any global df; a miss still decodes with this call's
+        global df, as a later scored search will want it."""
+        e = self._item(term, 1.0, route, scored)
         return None if e is None else e.run or self._decode_term(e)
 
     def _match_mask(self, terms: list[str], require_all: bool,
@@ -647,7 +654,7 @@ class InvertedIndex:
         ``route``: the request's ``_router``."""
         matched = None
         for t in terms:
-            dec = self._decoded(t, route)
+            dec = self._decoded(t, route, scored=False)
             if dec is None:
                 if require_all:
                     return None
@@ -807,20 +814,24 @@ class InvertedIndex:
                                       must_mask),
             method, require_all)
 
-    def _item(self, term: str, w: float, route) -> _Item | None:
+    def _item(self, term: str, w: float, route,
+              scored: bool = True) -> _Item | None:
         """``term`` as an ``_Item``, or None when it is absent.  A hit
         in the decoded cache (the run carries its df) or in the bounds
         cache (postings and skips) neither hashes nor probes; a miss
-        routes with ``route`` (the request's ``_router``) and probes."""
+        routes with ``route`` (the request's ``_router``) and probes.
+        A cached run counts as a hit only when it was scored with this
+        call's global df, unless ``scored`` is False."""
         run = self._postings_cache.get(term)
         if run is not None:
-            return _Item(term, w, self._df_overrides.get(term, run[2]),
-                         run[2], run)
+            gdf = self._gdfs.get(term, run[2])
+            if run[3] == gdf or not scored:
+                return _Item(term, w, gdf, run[2], run)
         ent = self._bounds_cache.get(term) or self._lookup(term, route)
         if ent is None:
             return None
         df, pbytes, skips = ent[:3]
-        return _Item(term, w, self._df_overrides.get(term, df), df, None,
+        return _Item(term, w, self._gdfs.get(term, df), df, None,
                      pbytes, skips)
 
     def _weighted_run(self, e: _Item, mask: np.ndarray | None = None):
@@ -1038,7 +1049,7 @@ class InvertedIndex:
         # to <=2x the all-at-once gather (geometric chunk sum).
         cscores = np.zeros(inter.size, dtype=np.float64)
         for t in uniq:
-            pos, s, _ = self._decoded(t, route)
+            pos, s = self._decoded(t, route)[:2]
             cscores += s[np.searchsorted(pos, inter)]
         order = np.lexsort((inter, -cscores))
         out: list[tuple[int, float]] = []
@@ -1233,12 +1244,13 @@ class InvertedIndex:
 
     def _decode_term(self, e: _Item):
         """Decode + per-posting BM25 scores of item ``e``'s term ->
-        (pos, scores, df), where ``pos`` indexes into the loader's
+        (pos, scores, df, gdf), where ``pos`` indexes into the loader's
         sorted ``_doc_ids``
         (``self._doc_ids[pos]`` reconstructs the docID run).  Cached in
         a byte-budget LRU (production engines cache decoded stopword
-        lists; scores are a pure function of (tf, doclen, df) so they
-        cache too).
+        lists; scores are a pure function of (tf, doclen, global df)
+        so they cache too, with the global df they were scored with; a
+        decode under another global df replaces the entry).
 
         A doc-range loader holds only its range's docmeta slice, so it
         decodes ONLY the posting blocks whose docID window intersects
@@ -1251,7 +1263,7 @@ class InvertedIndex:
         per-element score arithmetic)."""
         # decoded since it was resolved: a repeated term's twin
         hit = self._postings_cache.get(e.term)
-        if hit is not None:
+        if hit is not None and hit[3] == e.gdf:
             return hit
         df, pbytes, skips = e.df, e.pbytes, e.skips
         if self.doc_range is None:
@@ -1284,7 +1296,7 @@ class InvertedIndex:
         # needs no dictionary probe.
         if self._doc_ids.size < (1 << 31):
             pos = pos.astype(np.int32)
-        return self._postings_cache.put(e.term, (pos, scores, df),
+        return self._postings_cache.put(e.term, (pos, scores, df, e.gdf),
                                         pos.nbytes + scores.nbytes)
 
     def _decode_blocks(self, pbytes: bytes, skips: np.ndarray, df: int,
@@ -1392,21 +1404,23 @@ class InvertedIndex:
     def _bound(self, e: _Item, route) -> float:
         """Upper bound of ``e``'s term's unweighted score: its largest
         per-block score at (max_tf, min_doclen).  Computed once per
-        loader and kept in ``_bounds_cache`` with the term's df,
+        global df and kept in ``_bounds_cache`` with the term's df,
         postings and skips, so a later miss of the decoded cache needs
         no probe either."""
         hit = self._bounds_cache.get(e.term)
-        if hit is None:
+        if hit is None or hit[3] != e.gdf:
             df, pbytes, skips = ((e.df, e.pbytes, e.skips)
                                  if e.skips is not None
+                                 else hit[:3] if hit is not None
                                  else self._lookup(e.term, route))
             block_ub = self._term_score(skips[:, 2],
                                         skips[:, 3].astype(np.float64),
                                         self.idf(e.gdf))
             ub = float(block_ub.max()) if block_ub.size else 0.0
-            hit = self._bounds_cache.put(e.term, (df, pbytes, skips, ub),
-                                         len(pbytes) + skips.nbytes)
-        return hit[3]
+            hit = self._bounds_cache.put(
+                e.term, (df, pbytes, skips, e.gdf, ub),
+                len(pbytes) + skips.nbytes)
+        return hit[4]
 
     # a whole-term decode costs about as much as decoding this many of
     # its blocks one at a time (255-block terms of a 60k-row index: 1.9

@@ -262,7 +262,8 @@ class ShardWorker:
         their global doc-id sets from here (cost = df ids, the same
         wire class as an ordinary scored term)."""
         route = self.idx._router(terms)
-        decs = {t: self.idx._decoded(t, route) for t in terms}
+        decs = {t: self.idx._decoded(t, route, scored=False)
+                for t in terms}
         return {t: None if dec is None else self.idx._doc_ids[dec[0]]
                 for t, dec in decs.items()}
 
@@ -709,12 +710,6 @@ class ShardedQueryService:
         return _first_held(ray.get([replicas[0].call.remote("url_of", ids)
                                     for replicas in self.shards[0]]))
 
-    def docmeta_rows_per_worker(self) -> list[int]:
-        """Resident docmeta rows of every shard worker (memory probe)."""
-        futs = [w.docmeta_rows.remote()
-                for ranges in self.shards for reps in ranges for w in reps]
-        return ray.get(futs)
-
     def shutdown(self):
         for ranges in self.shards:
             for replicas in ranges:
@@ -732,29 +727,26 @@ class ShardedQueryService:
 
 @ray.remote
 class DocShardWorker:
-    """One doc-range sub-index (its own postings + docmeta).
+    """One doc-range sub-index (its own postings + docmeta), whose
+    loader nothing mutates after construction.
 
-    Global corpus stats arrive in the CONSTRUCTOR, not a post-init
-    call: with ``max_restarts`` set, Ray re-runs only ``__init__``
-    after an actor death — stats applied via a separate method would
-    silently vanish on restart and the revived shard would score with
-    LOCAL stats (wrong answers, no error).  Ctor args replay on
-    restart, so the revived actor is bit-identical to the original."""
+    Global N and avgdl are the loader's constructor ``stats``: with
+    ``max_restarts`` set, Ray re-runs only ``__init__`` after an actor
+    death, and ctor args replay, so the revived actor scores exactly
+    as the original did.  Per-term global dfs come with each call."""
 
     def __init__(self, index_dir: str, n_docs: int | None = None,
                  avgdl: float | None = None):
-        self.idx = InvertedIndex(index_dir)
-        if n_docs is not None:
-            self.idx.set_global_stats(int(n_docs), float(avgdl))
+        self.idx = InvertedIndex(
+            index_dir, stats=None if n_docs is None else (n_docs, avgdl))
 
     def call(self, name: str, dfs: dict[str, int] | None, *args,
              **kwargs):
-        """Run ``InvertedIndex.<name>`` among THIS shard's docs after
-        merging the front's GLOBAL per-term dfs (None for calls that
-        score nothing), so every score equals one global index's."""
-        if dfs:
-            self.idx.add_df_overrides(dfs)
-        return getattr(self.idx, name)(*args, **kwargs)
+        """Run ``InvertedIndex.<name>`` among THIS shard's docs on a
+        view that scores with the front's GLOBAL per-term ``dfs`` (None
+        for calls that score nothing), so every score equals one global
+        index's."""
+        return getattr(self.idx.scored_with(dfs), name)(*args, **kwargs)
 
     def term_dfs(self, terms: list[str]) -> dict[str, int]:
         return dict(zip(terms, self.idx.dfs_of(terms)))
@@ -769,12 +761,16 @@ class DocShardedQueryService:
 
     Exactness: naive per-shard BM25 would use local df/N/avgdl and
     drift from a single global index.  This front runs the classic
-    distributed-statistics exchange instead: phase 1 sums each shard's
-    df for the query terms and pushes global N/avgdl once at startup;
-    phase 2 shards score with those GLOBAL stats, so the merged top-k
-    is exact: scores are BIT-identical to a single global index on
-    either route (pytest-asserted; the sum order keys on the global
-    df).
+    distributed-statistics exchange instead: global N/avgdl are summed
+    from the manifests and passed to each worker's constructor once;
+    per query, phase 1 sums each shard's df for the query terms
+    (memoized front-side) and phase 2 sends those dfs with the call,
+    so each shard scores with GLOBAL stats and the merged top-k is
+    exact: scores are BIT-identical to a single global index on either
+    route (pytest-asserted; the sum order keys on the global df).  No
+    call changes a worker's state: a shard's cached runs record the
+    global df they were scored with, which is fixed for a term, so
+    steady-state serving re-decodes nothing.
 
     Every other clause is a per-doc predicate over docs each shard
     owns whole (where / where_range sidecars, must / exclude /
@@ -884,8 +880,8 @@ class DocShardedQueryService:
                              weight_items(term_weights), **filters))
 
     def match_count(self, query: str, **clauses) -> int:
-        # df overrides keep each shard's decode cache global-stats-
-        # consistent for the scored searches that follow
+        # masks need no df, but a miss decodes with the global dfs, so
+        # the scored searches that follow reuse the run
         return sum(self._fan("match_count", self._dfs(query), query,
                              **clauses))
 

@@ -1,17 +1,29 @@
-"""Serving-tier actor fault tolerance: on a real cluster workers die
-(node loss, OOM, preemption).  Every serving actor runs with
-max_restarts + max_task_retries, every serving method is read-only /
-idempotent, and ALL revival state rides in the constructor — so a
-killed worker is restarted by Ray, the in-flight call is retried
-transparently, and post-revival answers stay bit-identical to the
-local engine.
+"""Serving faults: a worker that dies, and an index part that is gone.
 
-The doc-sharded tier is the load-bearing case: global corpus stats
-used to arrive via a post-init set_global_stats call, which a restart
-would silently drop — the revived shard would score with LOCAL stats
-(wrong answers, no error).  Stats now ride in the ctor; the kill test
-here pins score bit-identity after revival.
+On a real cluster workers die (node loss, OOM, preemption).  Every
+serving actor runs with max_restarts + max_task_retries, every serving
+method is read-only / idempotent, and ALL revival state rides in the
+constructor — so a killed worker is restarted by Ray, the in-flight
+call is retried transparently, and post-revival answers stay
+bit-identical to the local engine.
+
+The doc-sharded tier is the load-bearing case: a worker's loader takes
+the global N and avgdl as constructor arguments and each call brings
+its per-term global dfs, so no state set after construction can be lost
+on a restart (a revived shard scoring with LOCAL stats would give wrong
+answers and no error).  The kill test here pins score bit-identity
+after revival.
+
+A postings part the manifest lists but whose directory is gone fails
+loudly, as a server fault: the loader raises, and /v1/search answers
+500 instead of empty hits.
 """
+
+import json
+import os
+import shutil
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pyarrow as pa
@@ -20,7 +32,8 @@ import ray
 
 from engine.build import build_index
 from engine.config import EngineConfig
-from engine.query import InvertedIndex
+from engine.index_io import CorruptIndexError, part_dir
+from engine.query import InvertedIndex, part_of
 
 CFG = EngineConfig(num_parts=8, docmeta_parts=3)
 Q = "the of data"
@@ -115,3 +128,49 @@ def test_doc_sharded_revival_keeps_global_stats(ray_session, e2e_webtext,
             local.search_weighted({"the": 2.0, "data": 1.25}, k=10)
     finally:
         svc.shutdown()
+
+
+def test_missing_listed_part_fails_loud(ft_idx, tmp_path):
+    """A listed postings part whose directory is deleted raises a
+    CorruptIndexError (an OSError, not the FileNotFoundError that reads
+    as a missing sidecar) and answers HTTP 500; a part the manifest
+    does not list stays an empty part."""
+    from engine.http_serve import EngineHttpServer
+    d, _ = ft_idx
+    local = InvertedIndex(d)
+    term = next(t for t in local.query_terms(Q)
+                if local.search(t, k=1))
+    part = part_of(term, local.cfg)
+    broken = str(tmp_path / "broken")
+    shutil.copytree(d, broken)
+    shutil.rmtree(part_dir(broken, "postings", part))
+    with pytest.raises(CorruptIndexError, match="listed in the manifest"
+                       ) as err:
+        InvertedIndex(broken).search(term, k=10)
+    assert isinstance(err.value, OSError)
+    assert not isinstance(err.value, FileNotFoundError)
+
+    srv = EngineHttpServer(index_dir=broken)
+    port = srv.start()
+    try:
+        rq = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/search",
+            data=json.dumps({"query": term}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as resp:
+            urllib.request.urlopen(rq, timeout=30)
+        assert resp.value.code == 500
+        body = json.loads(resp.value.read())
+        assert body["error"]["code"] == "internal_error"
+        assert "listed in the manifest" in body["error"]["message"]
+    finally:
+        srv.stop()
+
+    # unlisted (a part the build never wrote): empty, not an error
+    mpath = os.path.join(broken, "_manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    del manifest["parts"][f"postings:{part:05d}"]
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    assert InvertedIndex(broken).search(term, k=10) == []

@@ -237,7 +237,9 @@ def test_sharded_service_doc_ranges(ray_session, e2e_webtext,
     try:
         local = InvertedIndex(idx_dir)
         corpus_rows = local._doc_ids.size
-        rows = svc.docmeta_rows_per_worker()
+        import ray
+        rows = ray.get([w.docmeta_rows.remote() for ranges in svc.shards
+                        for reps in ranges for w in reps])
         # residency: every worker < corpus, union == corpus (ranges
         # partition the id space; workers of one shard tile it)
         assert all(r < corpus_rows for r in rows)
