@@ -14,7 +14,7 @@ contract over stdlib ``http.server`` (no web framework in the sandbox):
     POST /v1/search      -> {"hits": [{doc_id, score, url}]} over the
                             built index (the capability the reference
                             delegates to external vector DBs); accepts
-                            filter/facet/facet_histogram/exclude/
+                            filter/range/facet/facet_histogram/exclude/
                             snippets and phrase=true (+slop=N) for
                             exact-phrase / proximity top-k on a
                             positional index
@@ -64,6 +64,10 @@ def _internal_error(e: Exception) -> tuple[int, dict]:
     # capability probes answer 400 before any call for missing shapes)
     return 500, _error(f"internal error: {e}", "internal_error",
                        "internal_error")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # /v1/search shape -> (what, error code) when a serving tier lacks it
@@ -346,6 +350,18 @@ class EngineHttpServer:
             if not isinstance(vals, (list, tuple)):
                 vals = [vals]
             where = (flt["col"], tuple(vals))
+        kwargs = {"where": where} if where is not None else {}
+        # {"range": {"col": ..., "lo": n, "hi": n}}: lo <= col <= hi
+        rng = req.get("range")
+        if rng is not None:
+            if not (isinstance(rng, dict) and isinstance(rng.get("col"), str)
+                    and _is_number(rng.get("lo"))
+                    and _is_number(rng.get("hi"))):
+                return 400, _error(
+                    'range must be an object {"col": ..., "lo": number, '
+                    '"hi": number}', "invalid_request_error",
+                    "invalid_request")
+            kwargs["where_range"] = (rng["col"], rng["lo"], rng["hi"])
         facet_col = req.get("facet")
         hist = req.get("facet_histogram")  # {"col": ..., "edges": [...]}
         if hist is not None and not (isinstance(hist, dict)
@@ -386,16 +402,15 @@ class EngineHttpServer:
             return 400, _error(
                 "with_total is not supported with phrase=true",
                 "invalid_request_error", "invalid_request")
-        kwargs = {"where": where} if where is not None else {}
         # weights={"term": w, ...}: weighted-term (learned-sparse /
         # SPLADE-seam) retrieval — engine/query.py search_weighted.
         # Terms are taken verbatim (the caller supplies an analyzed
-        # sparse query vector).  The doc-values "filter" composes (a
-        # per-doc predicate — tenant-filtered sparse retrieval); the
-        # clause machinery (phrase, boolean gates, facets) scores
-        # TOKENIZED queries and does not compose with a weight vector,
-        # so those combinations are a clean 400 instead of a
-        # silently-ignored knob.
+        # sparse query vector).  The doc-values "filter" and "range"
+        # compose (per-doc predicates — tenant-filtered sparse
+        # retrieval); the clause machinery (phrase, boolean gates,
+        # facets) scores TOKENIZED queries and does not compose with a
+        # weight vector, so those combinations are a clean 400 instead
+        # of a silently-ignored knob.
         weights = req.get("weights")
         if weights is not None:
             if (query or phrase or must or require_all or exclude
@@ -405,17 +420,15 @@ class EngineHttpServer:
                     "facet parameters",
                     "invalid_request_error", "invalid_request")
             if (not isinstance(weights, dict) or not weights
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool)
-                               for v in weights.values())):
+                    or not all(map(_is_number, weights.values()))):
                 return 400, _error(
                     "weights must be a non-empty {term: number} object",
                     "invalid_request_error", "invalid_request")
             weights = {str(t): float(v) for t, v in weights.items()}
             # the weight KEYS are the query terms (already analyzed):
-            # snippets and totals run on them directly
+            # snippets and totals take them verbatim
             search, count = "search_weighted", "match_count_weighted"
-            target, snip_q, search_kw = weights, " ".join(weights), kwargs
+            target, snip_q, search_kw = weights, list(weights), kwargs
         else:
             if exclude:
                 kwargs["exclude"] = str(exclude)

@@ -218,13 +218,14 @@ def read_postings_part(index_dir: str, part: int, use_mmap: bool = False):
 
 def read_positions_blob(index_dir: str, part: int,
                         use_mmap: bool = False):
-    """positions.bin of one segment (b'' when the part is missing or
-    the index is non-positional) — loaded lazily by the phrase path so
-    BM25-only serving never touches it."""
+    """positions.bin of one positional segment — loaded lazily by the
+    phrase path so BM25-only serving never touches it.  A missing file
+    raises ``CorruptIndexError``: its offsets would read nothing."""
     path = os.path.join(part_dir(index_dir, "postings", part),
                         "positions.bin")
     if not os.path.exists(path):
-        return b""
+        raise CorruptIndexError(
+            f"positional postings part {part} has no {path}")
     if use_mmap:
         return _mmap_readonly(path)
     with open(path, "rb") as f:
@@ -238,24 +239,32 @@ def read_docmeta(index_dir: str, cfg: EngineConfig,
     The filter is applied PER PART before concat so a doc-range shard's
     transient peak is one part + its slice, and resident memory is
     O(corpus / n_ranges) — docmeta parts are doc_id % D so every part
-    contributes ~1/D of the range."""
+    contributes ~1/D of the range.  A part the manifest lists but that
+    is gone from disk raises ``CorruptIndexError``: without its docs,
+    postings would resolve to other documents' slots."""
+    listed = load_manifest(index_dir).get("parts", {})
     tables = []
     for p in range(cfg.docmeta_parts):
         path = os.path.join(part_dir(index_dir, "docmeta", p), "docmeta.parquet")
-        if os.path.exists(path):
-            t = pq.read_table(path)
-            if doc_range is not None:
-                import pyarrow.compute as pc
-                lo, hi = doc_range
-                ids = t.column("doc_id")
-                # doc ids are 63-bit positive; the last range's hi is
-                # 2^63, which overflows int64 — drop the upper test then
-                mask = pc.greater_equal(ids, pa.scalar(lo, pa.int64()))
-                if hi <= (1 << 63) - 1:
-                    mask = pc.and_(mask, pc.less(
-                        ids, pa.scalar(hi, pa.int64())))
-                t = t.filter(mask)
-            tables.append(t)
+        if not os.path.exists(path):
+            if f"docmeta:{p:05d}" in listed:
+                raise CorruptIndexError(
+                    f"docmeta part {p} is listed in the manifest but "
+                    f"{path} is missing")
+            continue
+        t = pq.read_table(path)
+        if doc_range is not None:
+            import pyarrow.compute as pc
+            lo, hi = doc_range
+            ids = t.column("doc_id")
+            # doc ids are 63-bit positive; the last range's hi is
+            # 2^63, which overflows int64 — drop the upper test then
+            mask = pc.greater_equal(ids, pa.scalar(lo, pa.int64()))
+            if hi <= (1 << 63) - 1:
+                mask = pc.and_(mask, pc.less(
+                    ids, pa.scalar(hi, pa.int64())))
+            t = t.filter(mask)
+        tables.append(t)
     if not tables:
         import pyarrow as _pa
         from engine.schema import DOCMETA

@@ -16,15 +16,18 @@ Scoring (BASELINE.md §2; float64 throughout, ties broken doc_id asc):
     score(q, d) = sum over DISTINCT query terms of s(t, d)
 
 Sum order.  Float addition is not associative, so the order in which a
-document's term scores are added is part of the answer.  Every BM25 and
-weighted scorer (exhaustive, pruned, filtered, AND) and the
-term-sharded front (engine/serve.py) add them in ascending (global df,
-term) order, the one key of ``sum_order``, starting from 0.0.  So
-``search`` equals ``search_weighted`` with every weight 1.0 bit for
-bit, both routes below return the same bits, and every serving tier
-equals the local engine.  ``search_phrase`` is the one exception: it
-adds in first-occurrence order, which spares each phrase term the df
-probe.
+document's term scores are added is part of the answer.  Every scorer
+(exhaustive, pruned, filtered, AND, and phrase, which scores through
+the AND core) and the term-sharded front (engine/serve.py) add them in
+ascending (global df, term) order, the one key of ``sum_order``,
+starting from 0.0.  So ``search`` equals ``search_weighted`` with every
+weight 1.0 bit for bit, a phrase hit scores what ``search(q,
+require_all=True)`` gives that doc, both routes below return the same
+bits, and every serving tier equals the local engine.
+
+Clauses.  ``_gate`` is the one reader of a request's ``must`` /
+``exclude`` / ``where`` / ``where_range`` clauses: every query shape
+(search, weighted, phrase, counts, facets) takes its keep-mask from it.
 
 One top-k core serves ``search`` (weighted search at w = 1) and
 ``search_weighted``, with two routes that give identical answers:
@@ -39,9 +42,8 @@ blocks: some term has more than ``4 * k`` posting blocks and another is
 at most half as common.  ``method="daat"`` always runs exhaustive.
 Because the bits match, the route never changes an answer.
 
-Beyond ranked OR: ``require_all`` (AND), ``must`` (+term gate),
-``exclude`` (MUST_NOT), ``where``/``where_range`` (doc-values filters,
-engine/docvalues.py), ``search_phrase`` (positional, slop), ``suggest``
+Beyond ranked OR: ``require_all`` (AND), the ``_gate`` clauses,
+``search_phrase`` (positional, slop), ``suggest``
 (prefix autocomplete), ``facet_counts`` / ``facet_histogram`` (match-set
 aggregations), ``values_of`` (stored-field hydration).
 
@@ -54,6 +56,7 @@ distributed query serving (one `QueryActor` per replica).
 from __future__ import annotations
 
 import copy
+import functools
 import os
 from typing import NamedTuple
 
@@ -514,23 +517,25 @@ class InvertedIndex:
         from engine.docvalues import get_doc_values
         return get_doc_values(self.index_dir, self.cfg, doc_ids, col)
 
-    def snippets_of(self, query: str, doc_ids,
-                    col: str = "text") -> list:
+    def snippets_of(self, query, doc_ids, col: str = "text") -> list:
         """Best query-term window per (top-k) doc — the
         ``/v1/search?snippets=true`` rule (docops.best_snippet_window)
-        over ``values_of``-hydrated text.  None for docs without a
-        sidecar row or without a qualifying window; fail-loud when the
-        sidecar/column was never attached (a silent all-None response
-        would read as 'no hits had windows').  Safe on doc_range-
-        restricted loaders: touches only the query tokenizer and the
-        on-disk sidecars (part-pruned by doc_id % D), never postings."""
+        over ``values_of``-hydrated text.  ``query`` is a string (its
+        analyzed terms) or a list of terms used as given (a weighted
+        query's keys).  None for docs without a sidecar row or without
+        a qualifying window; fail-loud when the sidecar/column was
+        never attached (a silent all-None response would read as 'no
+        hits had windows').  Safe on doc_range-restricted loaders:
+        touches only the query tokenizer and the on-disk sidecars
+        (part-pruned by doc_id % D), never postings."""
         from engine.docops import best_snippet_window
         from engine.docvalues import has_doc_values
         if not has_doc_values(self.index_dir, self.cfg, col):
             raise FileNotFoundError(
                 f"doc-values sidecar column {col!r} not attached "
                 "(attach_doc_values)")
-        terms = frozenset(self.query_terms(query))
+        terms = frozenset(self.query_terms(query) if isinstance(query, str)
+                          else query)
         out = []
         for t in self.values_of(doc_ids, col):
             win = (best_snippet_window(
@@ -589,17 +594,19 @@ class InvertedIndex:
                      where: tuple | None = None,
                      require_all: bool = False,
                      must: str | None = None,
-                     exclude: str | None = None) -> list[tuple]:
+                     exclude: str | None = None,
+                     where_range: tuple | None = None) -> list[tuple]:
         """Facet aggregation over the query's match set: -> [(value,
         n_docs)] sorted (count desc, value asc) for the doc-values
         column ``col``, counting documents that contain >=1 query term
         (the standard disjunctive facet base; ``require_all=True``
-        switches to the AND match set).  Docs without a sidecar row are
-        not counted under any facet value.  Deletes are already masked
-        out of decoded runs; ``where`` / ``must`` / ``exclude`` compose
-        (facet within the same gated set the hits come from)."""
-        matched = self._gated_match(self.query_terms(query), require_all,
-                                    must, exclude, where)
+        switches to the AND match set) and pass the ``_gate`` clauses,
+        so a facet counts the same gated set the hits come from.  Docs
+        without a sidecar row are not counted under any facet value;
+        deletes are already masked out of decoded runs."""
+        terms = self.query_terms(query)
+        matched = self._match_mask(terms, require_all, *self._gate(
+            terms, must, exclude, where, where_range))
         return [] if matched is None else self._value_counts(matched, col)
 
     def _value_counts(self, matched: np.ndarray, col: str) -> list[tuple]:
@@ -625,13 +632,13 @@ class InvertedIndex:
                     require_all: bool = False) -> int:
         """Total hits of a query under the full clause set (the
         ``hits.total`` every search UI shows next to top-k): documents
-        containing >=1 query term (every term with ``require_all``),
-        gated by must/exclude and the doc-values filters.  Pure mask
-        work over the same decoded runs search() uses — no scoring, no
-        top-k cut; an absent must-term gives 0 (matching search's
-        empty result)."""
-        matched = self._gated_match(self.query_terms(query), require_all,
-                                    must, exclude, where, where_range)
+        containing >=1 query term (every term with ``require_all``)
+        that pass the ``_gate`` clauses.  Pure mask work over the same
+        decoded runs search() uses — no scoring, no top-k cut; an
+        absent must-term gives 0 (matching search's empty result)."""
+        terms = self.query_terms(query)
+        matched = self._match_mask(terms, require_all, *self._gate(
+            terms, must, exclude, where, where_range))
         return 0 if matched is None else int(matched.sum())
 
     def _decoded(self, term: str, route=None, scored: bool = True):
@@ -646,12 +653,14 @@ class InvertedIndex:
         e = self._item(term, 1.0, route, scored)
         return None if e is None else e.run or self._decode_term(e)
 
-    def _match_mask(self, terms: list[str], require_all: bool,
-                    route) -> np.ndarray | None:
+    def _match_mask(self, terms: list[str], require_all: bool, route,
+                    keep=None) -> np.ndarray | None:
         """Boolean match set over ``_doc_ids`` positions: docs holding
-        >=1 of ``terms`` (every term under ``require_all``); None when
-        nothing can match.  A fresh array — callers may mutate.
-        ``route``: the request's ``_router``."""
+        >=1 of ``terms`` (every term under ``require_all``) that the
+        ``_gate`` keep-mask ``keep`` (when given) keeps; None when
+        nothing can match.  ``keep`` runs only once some term matched.
+        A fresh array — callers may mutate.  ``route``: the request's
+        ``_router``."""
         matched = None
         for t in terms:
             dec = self._decoded(t, route, scored=False)
@@ -669,35 +678,69 @@ class InvertedIndex:
                 matched = tm
             else:
                 matched[pos] = True
+        if matched is not None and keep is not None:
+            mask = keep()
+            if mask is False:
+                return None
+            if mask is not None:
+                matched &= mask
         return matched
 
-    def _gated_match(self, terms: list[str], require_all: bool = False,
-                     must: str | None = None, exclude: str | None = None,
-                     where: tuple | None = None,
-                     where_range: tuple | None = None):
-        """match set & must & exclude & where & where_range; None when
-        nothing can match (an absent must-term empties the set, as in
-        search)."""
-        must_t, ex_t, route = self._clause_terms(terms, must, exclude)
-        matched = self._match_mask(terms, require_all, route)
-        if matched is None:
-            return None
-        if must:
-            mm = self._must_mask(must_t, route)
-            if mm is None:
-                return None
-            matched &= mm
-        keep = self._filter_mask(where, where_range, self._exclude_mask(
-            ex_t, route) if exclude else None)
-        if keep is not None:
-            matched &= keep
-        return matched
+    def _gate(self, terms: list[str], must: str | None = None,
+              exclude: str | None = None, where: tuple | None = None,
+              where_range: tuple | None = None):
+        """The one reader of a request's clauses -> (route, keep).
+        ``route`` is the request's one ``_router``, over ``terms`` and
+        the analyzed must / exclude terms.  ``keep()`` builds the
+        clause keep-mask over ``_doc_ids`` positions; callers run it
+        only once some query term is present.  It returns None when no
+        clause filters, False when a must-term is absent from the index
+        (nothing can match), else the AND of:
+
+          * ``must`` (Lucene ``+term``): docs holding EVERY must-term.
+            Scores still sum the query's own terms (the required-plus-
+            optional shape; ``require_all=True`` is the case where
+            every query term is required);
+          * ``exclude`` (MUST_NOT): docs holding NO excluded term.  An
+            excluded term absent from the index excludes nothing, and
+            excluded terms add nothing to scores;
+          * ``where=(col, values)``: docs whose doc-values column
+            (engine/docvalues.py) holds one of ``values`` (a scalar or
+            an IN-list);
+          * ``where_range=(col, lo, hi)``: docs with ``lo <= col <=
+            hi`` over a numeric doc-values column (BETWEEN-inclusive).
+
+        Clauses only narrow the candidates.  Corpus statistics stay
+        global (the Lucene filter-query rule), so a kept document
+        scores the same bits with and without them."""
+        must_t = self.query_terms(must) if must else []
+        ex_t = self.query_terms(exclude) if exclude else []
+        route = self._router(terms + must_t + ex_t)
+
+        def keep():
+            masks = []
+            if must_t:
+                m = self._match_mask(must_t, True, route)
+                if m is None:
+                    return False
+                masks.append(m)
+            if ex_t:
+                hit = self._match_mask(ex_t, False, route)
+                if hit is not None:
+                    masks.append(~hit)
+            if where is not None:
+                masks.append(self.where_mask(*where))
+            if where_range is not None:
+                masks.append(self.range_mask(*where_range))
+            return functools.reduce(np.logical_and, masks) if masks else None
+        return route, keep
 
     def facet_histogram(self, query: str, col: str, edges,
                         where: tuple | None = None,
                         require_all: bool = False,
                         must: str | None = None,
-                        exclude: str | None = None) -> list[tuple]:
+                        exclude: str | None = None,
+                        where_range: tuple | None = None) -> list[tuple]:
         """Histogram facet over a NUMERIC doc-values column (the
         date-histogram analog): -> [(lo, hi, n_docs)] per half-open
         bucket ``[edges[i], edges[i+1])`` counting matched documents,
@@ -707,9 +750,10 @@ class InvertedIndex:
         edges = np.asarray(list(edges), dtype=np.float64)
         if edges.size < 2:
             return []
-        return self._bucket_counts(
-            self._gated_match(self.query_terms(query), require_all, must,
-                              exclude, where), col, edges)
+        terms = self.query_terms(query)
+        return self._bucket_counts(self._match_mask(
+            terms, require_all, *self._gate(terms, must, exclude, where,
+                                            where_range)), col, edges)
 
     def _bucket_counts(self, matched: np.ndarray | None, col: str,
                       edges) -> list[tuple]:
@@ -761,39 +805,14 @@ class InvertedIndex:
         prunes by membership, and the rarest-first intersection is the
         stronger cut.
 
-        ``where=(col, values)`` restricts candidates to documents whose
-        doc-values sidecar column (engine/docvalues.py) matches (scalar
-        or IN-list).  Corpus statistics stay GLOBAL — a filter narrows
-        the candidate set without re-weighting idf/avgdl, the standard
-        Lucene filter-query semantics, so a doc's score is identical
-        with and without the filter.  Filtered disjunctive routing is
-        density-split: at or below ``filtered_dense_cutoff`` the
+        ``where`` / ``where_range`` / ``exclude`` / ``must`` are the
+        ``_gate`` clauses.  A gated disjunctive query routes by the
+        keep-mask's density: at or below ``filtered_dense_cutoff`` the
         selective candidate-block scorer runs (decode only blocks
         containing a candidate — the win case for per-tenant filters);
         above it the mask applies to the unfiltered routes — a block's
         unfiltered upper bound still bounds its masked subset, and θ
         (the running kth-best) is taken over masked candidates only.
-
-        ``where_range=(col, lo, hi)`` is the numeric-range filter
-        (``lo <= col <= hi``, BETWEEN-inclusive) over a doc-values
-        column — crawl-date windows, length bands.  Same global-stats
-        semantics as ``where``; the two compose (AND).
-
-        ``exclude`` is the boolean MUST_NOT clause (Lucene BooleanQuery
-        third connective): documents containing ANY excluded term are
-        dropped from the candidate set; excluded terms contribute
-        nothing to scores (survivors keep their exact unexcluded
-        scores).  An excluded term absent from the index excludes
-        nothing.  Internally it is one more candidate mask, so it
-        composes with ``where`` and ``require_all`` and shares the
-        daat routing rationale.
-
-        ``must`` is the mixed boolean MUST clause (Lucene ``+term``):
-        candidates must contain EVERY must-term, but scoring still
-        sums ALL of ``query``'s matching terms (the
-        required-plus-optional query shape — ``require_all=True`` is
-        the special case where every query term is required).  A
-        must-term absent from the index empties the result.
         """
         if method not in ("bmw", "daat"):
             raise ValueError(
@@ -801,17 +820,9 @@ class InvertedIndex:
         if k <= 0:
             return []
         terms = self.query_terms(query)
-        must_t, ex_t, route = self._clause_terms(terms, must, exclude)
-        ex_mask = self._exclude_mask(ex_t, route) if exclude else None
-        must_mask = None
-        if must:
-            must_mask = self._must_mask(must_t, route)
-            if must_mask is None:
-                return []
         return self._topk_items(
-            [(t, 1.0) for t in terms], k, route,
-            lambda: self._filter_mask(where, where_range, ex_mask,
-                                      must_mask),
+            [(t, 1.0) for t in terms], k,
+            *self._gate(terms, must, exclude, where, where_range),
             method, require_all)
 
     def _item(self, term: str, w: float, route,
@@ -846,29 +857,41 @@ class InvertedIndex:
             pos, s = pos[keep], s[keep]
         return pos, s
 
-    def _topk_items(self, items, k: int, route, mask_of,
-                    method: str = "bmw", require_all: bool = False):
-        """Top-k by the weighted sum over ``items`` ((term, weight)
-        pairs) — the one core of ``search`` (w = 1) and
-        ``search_weighted``.  It resolves each item, puts them in
-        ``sum_order`` and picks a route: AND, the selective filter,
-        pruned or exhaustive, all of which return the exhaustive
-        route's bits.  ``mask_of()`` gives the keep-mask (or None); it
-        runs only once some term is present."""
+    def _resolve(self, items, route, keep, require_all: bool = False):
+        """``items`` ((term, weight) pairs) -> (their ``_Item``s in
+        ``sum_order``, the ``_gate`` keep-mask), or None when nothing
+        can match: no term is present, one is absent under
+        ``require_all``, or a must-term is absent.  Absent terms are
+        dropped; ``keep`` runs only once some term is present."""
         entries = []
         for t, w in items:
             e = self._item(t, w, route)
             if e is None:
                 if require_all:
-                    return []
+                    return None
                 continue
             entries.append(e)
         if not entries:
+            return None
+        mask = keep()
+        if mask is False:
+            return None
+        return sum_order(entries, lambda e: e.gdf), mask
+
+    def _topk_items(self, items, k: int, route, keep,
+                    method: str = "bmw", require_all: bool = False):
+        """Top-k by the weighted sum over ``items`` ((term, weight)
+        pairs) — the one core of ``search`` (w = 1) and
+        ``search_weighted``.  It resolves the items (``_resolve``) and
+        picks a route: AND, the selective filter, pruned or exhaustive,
+        all of which return the exhaustive route's bits."""
+        got = self._resolve(items, route, keep, require_all)
+        if got is None:
             return []
-        entries = sum_order(entries, lambda e: e.gdf)
-        mask = mask_of()
+        entries, mask = got
         if require_all:
-            return self._search_all(entries, k, mask)
+            inter, sums = self._and_sums(entries, mask)
+            return self._topk(self._doc_ids[inter], sums, k)
         if mask is not None and (int(mask.sum()) <= self.filtered_dense_cutoff
                                  * self._doc_ids.size):
             return self._search_filtered(entries, k, mask)
@@ -897,18 +920,6 @@ class InvertedIndex:
         top = max(dfs)
         return top > 4 * k * self.cfg.block_size and 2 * min(dfs) < top
 
-    def _filter_mask(self, where: tuple | None = None,
-                     where_range: tuple | None = None, *masks):
-        """AND of the doc-values filters and the given keep-masks (None
-        ones skipped) -> one keep-mask, or None when nothing filters."""
-        out = None
-        for m in ((self.where_mask(*where) if where is not None else None),
-                  (self.range_mask(*where_range)
-                   if where_range is not None else None), *masks):
-            if m is not None:
-                out = m if out is None else (out & m)
-        return out
-
     def search_weighted(self, term_weights, k: int = 10,
                         where: tuple | None = None,
                         where_range: tuple | None = None):
@@ -927,19 +938,13 @@ class InvertedIndex:
         (term, weight).  Terms are looked up verbatim (callers supply
         already-analyzed terms, the learned-sparse contract); unknown
         terms contribute nothing; weight 0 terms are skipped.
-
-        ``where=(col, values)`` / ``where_range=(col, lo, hi)`` are the
-        doc-values filters (tenant-filtered sparse retrieval): the mask
-        drops non-candidates AFTER accumulation, so corpus stats stay
-        global and a survivor's score is identical with and without the
-        filter (the search() Lucene filter-query semantics; the two
-        compose with AND)."""
+        ``where`` / ``where_range`` are the ``_gate`` doc-values
+        clauses (tenant-filtered sparse retrieval)."""
         if k <= 0:
             return []
         items = weight_items(term_weights)
-        return self._topk_items(
-            items, k, self._router([t for t, _ in items]),
-            lambda: self._filter_mask(where, where_range))
+        return self._topk_items(items, k, *self._gate(
+            [t for t, _ in items], where=where, where_range=where_range))
 
     def match_count_weighted(self, term_weights,
                              where: tuple | None = None,
@@ -950,107 +955,57 @@ class InvertedIndex:
         postings under the doc-values filters — the with_total dual of
         ``search_weighted``, same decode/tombstone path."""
         terms = [t for t, _ in weight_items(term_weights)]
-        matched = self._gated_match(terms, where=where,
-                                    where_range=where_range)
+        matched = self._match_mask(terms, False, *self._gate(
+            terms, where=where, where_range=where_range))
         return 0 if matched is None else int(matched.sum())
-
-    def _clause_terms(self, terms: list[str], must: str | None,
-                      exclude: str | None):
-        """-> (must terms, exclude terms, one ``_router`` over those and
-        ``terms``): a request's every term routed by one hasher call."""
-        must_t = self.query_terms(must) if must else []
-        ex_t = self.query_terms(exclude) if exclude else []
-        return must_t, ex_t, self._router(terms + must_t + ex_t)
-
-    def _must_mask(self, terms: list[str], route) -> np.ndarray | None:
-        """Keep-mask that is True only for documents containing EVERY
-        must-term (``terms``: the analyzed must clause); None when a
-        must-term is absent from the index (the boolean-AND empty
-        rule)."""
-        if not terms:
-            return np.ones(self._doc_ids.size, dtype=bool)
-        return self._match_mask(terms, True, route)
-
-    def _exclude_mask(self, terms: list[str], route) -> np.ndarray:
-        """Keep-mask that is False for documents containing ANY of the
-        excluded terms (decoded through the same score cache —
-        positions are what the mask needs; scores along for the ride)."""
-        hit = self._match_mask(terms, False, route)
-        return np.ones(self._doc_ids.size, dtype=bool) if hit is None \
-            else ~hit
 
     def search_phrase(self, query: str, k: int = 10, slop: int = 0,
                       where: tuple | None = None,
-                      exclude: str | None = None):
+                      exclude: str | None = None,
+                      where_range: tuple | None = None,
+                      must: str | None = None):
         """Exact-phrase / proximity top-k: documents containing the
         query's tokens in order with at most ``slop`` interleaving
         non-query tokens in total (``slop=0`` = consecutive, the exact
-        phrase), ranked by BM25 over the phrase's distinct terms (the
-        classic phrase-filter + BM25-score rule).  Needs an index built
-        with ``EngineConfig(store_positions=True)``.
+        phrase), ranked by BM25 over the phrase's distinct terms: a hit
+        scores the bits ``search(query, require_all=True)`` gives it.
+        ``where`` / ``exclude`` / ``where_range`` / ``must`` are the
+        ``_gate`` clauses.  Needs an index built with
+        ``EngineConfig(store_positions=True)``.
 
         An ordered occurrence ``p_1 < ... < p_n`` has total gap
         ``p_n - p_1 - (n-1)`` regardless of the interior choices, and
         picking the EARLIEST valid next position minimizes ``p_n`` for
         a fixed start — so greedy matching decides existence exactly.
 
-        Execution: candidate docs are pre-narrowed by the rarest-first
-        sorted intersection the AND path uses (plus the optional
-        ``where`` doc-values filter), every candidate is BM25-scored
-        from the byte-budget score cache, and the positional predicate
-        (``_phrase_verify`` — vectorized composite-key matching) runs
-        over candidates in (score desc, doc asc) rank order in
-        exponentially growing chunks with EXACT early termination at k
-        verified hits: verification only filters, so the first k
-        survivors in rank order are the global top-k.  A stopword in
-        the phrase costs its one O(cf) position decode (amortized by
-        the positions LRU) but occurrence keys are gathered only for
-        the verified prefix of the candidate ranking.
+        Execution: the AND core (``_and_sums``) gives the candidates,
+        the docs holding every phrase term that the gate keeps, with
+        their BM25 sums.  The positional predicate (``_phrase_verify``
+        — vectorized composite-key matching) then runs over them in
+        (score desc, doc asc) rank order — the total order ``_topk``
+        uses — in exponentially growing chunks, with EXACT early
+        termination at k verified hits: verification only filters, so
+        the first k survivors in rank order are the global top-k.  A
+        stopword in the phrase costs its one boundary scan (amortized
+        by the positions LRU), but occurrence keys are gathered only
+        for the verified prefix of the candidate ranking; a
+        never-matching phrase degrades to <=2x the all-at-once gather
+        (geometric chunk sum).
         """
         if k <= 0:
             return []
         toks = tokenize(query, self.cfg.cjk_unigrams)
-        if not toks:
-            return []
         uniq = list(dict.fromkeys(toks))
-        _, ex_t, route = self._clause_terms(uniq, None, exclude)
+        route, keep = self._gate(uniq, must, exclude, where, where_range)
         runs: dict[str, tuple] = {}
         for t in uniq:
-            dec = self._decode_term_positions(t, route)
-            if dec is None:
+            runs[t] = self._decode_term_positions(t, route)
+            if runs[t] is None:
                 return []
-            runs[t] = dec                       # (pos run, tfs, tokpos)
-        inter = None
-        for t in sorted(uniq, key=lambda t: runs[t][0].size):
-            p = runs[t][0]
-            if inter is None:
-                # doc-values filter / MUST_NOT exclusion (same
-                # semantics as search): applied to the rarest run so
-                # the candidate set only shrinks
-                inter = p
-                if where is not None:
-                    inter = inter[self.where_mask(*where)[inter]]
-                if exclude:
-                    inter = inter[self._exclude_mask(ex_t, route)[inter]]
-            else:
-                inter = np.intersect1d(inter, p, assume_unique=True)
-            if inter.size == 0:
-                return []
-
-        # rank-ordered early termination (exact): score EVERY candidate
-        # first (cheap — decoded scores are byte-budget-cached), walk
-        # candidates in (score desc, doc asc) order — the same total
-        # order _topk uses — and verify the positional predicate in
-        # exponentially growing chunks, stopping at k verified hits.
-        # Verification only FILTERS, so the first k survivors in rank
-        # order ARE the global top-k.  A stopword x stopword phrase at
-        # multi-M df goes from gathering every candidate's occurrences
-        # (seconds) to a few chunks; a never-matching phrase degrades
-        # to <=2x the all-at-once gather (geometric chunk sum).
-        cscores = np.zeros(inter.size, dtype=np.float64)
-        for t in uniq:
-            pos, s = self._decoded(t, route)[:2]
-            cscores += s[np.searchsorted(pos, inter)]
+        got = self._resolve([(t, 1.0) for t in uniq], route, keep, True)
+        if got is None:
+            return []
+        inter, cscores = self._and_sums(*got)
         order = np.lexsort((inter, -cscores))
         out: list[tuple[int, float]] = []
         lo, chunk = 0, max(1024, 4 * k)
@@ -1138,16 +1093,17 @@ class InvertedIndex:
         mask[np.searchsorted(cand, matched)] = True
         return mask
 
-    def _search_all(self, entries, k: int, mask: np.ndarray | None = None):
-        """Conjunctive (AND) top-k: decode rarest term first and
-        intersect the docID-sorted position runs progressively (each
-        run is sorted-unique, so ``np.intersect1d(assume_unique=True)``
-        is a linear merge bounded by the RAREST term's df — the
-        candidate set only shrinks, with an early exit on empty).
-        Per-term scores for the survivors are gathered by searchsorted
-        into each term's own run and summed.  ``mask`` (doc-values
-        filter) is applied to the rarest run before the merge, so it
-        only ever shrinks the candidate set."""
+    def _and_sums(self, entries, mask: np.ndarray | None = None):
+        """The AND core -> (positions, sums): the docs holding every
+        entry's term that ``mask`` keeps, positions ascending, with
+        their weighted sums.  The docID-sorted runs are intersected in
+        entry order (``sum_order``: rarest first; each run is
+        sorted-unique, so ``np.intersect1d(assume_unique=True)`` is a
+        linear merge bounded by the RAREST term's df — the candidate
+        set only shrinks, with an early exit on empty), and ``mask`` is
+        applied to the rarest run before the merge.  Per-term scores
+        for the survivors are gathered by searchsorted into each
+        term's own run and added in entry order from 0.0."""
         decoded = []
         inter = None
         for e in entries:
@@ -1158,11 +1114,11 @@ class InvertedIndex:
             else:
                 inter = np.intersect1d(inter, pos, assume_unique=True)
             if inter.size == 0:
-                return []
+                break
         acc = np.zeros(inter.size, dtype=np.float64)
         for pos, s in decoded:
             acc += s[np.searchsorted(pos, inter)]
-        return self._topk(self._doc_ids[inter], acc, k)
+        return inter, acc
 
     def _term_score(self, tfs: np.ndarray, dls: np.ndarray, idf: float) -> np.ndarray:
         k1, b = self.cfg.k1, self.cfg.b

@@ -29,19 +29,21 @@ shared-state pattern (/root/reference/rust/src/lib.rs:839).  Two tiers:
   (``DocShardedQueryService`` below implements that third layout:
   per-shard top-k over a distributed-IDF exchange, exact merges.)
 
-Per-tier query surface: every tier serves search (boolean must /
-exclude / require_all, where / where_range), match_count, weighted
-search + counts, facets + histogram facets, suggest, and url_of /
-snippets_of top-k hydration.  The replica and doc-shard workers expose
-one ``call(name, ...)`` that runs the ``InvertedIndex`` method, which
-owns every parameter list; a service method is a routing line plus
-its merge.  The term-sharded front computes each shape from one
-scatter-gather core (facets: the gated match set, counted on one
-worker per doc range).  ``search_phrase`` runs on ``QueryService``
-and ``DocShardedQueryService`` (phrase matching is a per-doc
-predicate, so per-shard match + global-stats scores merge exactly) —
-never on the term-sharded tier, which would have to ship position
-runs between shards for every multi-term phrase.
+Per-tier query surface: every tier serves search, match_count, facets
+and histogram facets with one clause set (must / exclude /
+require_all / where / where_range, read by ``InvertedIndex._gate``),
+weighted search and counts with where / where_range, suggest, and
+url_of / snippets_of top-k hydration.  The replica and doc-shard
+workers expose one ``call(name, ...)`` that runs the ``InvertedIndex``
+method, which owns every parameter list; a service method is a routing
+line plus its merge.  The term-sharded front computes each shape from
+one scatter-gather core (facets: the gated match set, counted on one
+worker per doc range).  ``search_phrase`` takes the same clauses but
+require_all, and runs on ``QueryService`` and
+``DocShardedQueryService`` (phrase matching is a per-doc predicate, so
+per-shard match + global-stats scores merge exactly) — never on the
+term-sharded tier, which would have to ship position runs between
+shards for every multi-term phrase.
 
 The module creates actors only when a service is explicitly
 instantiated — never at import (the driver owns the Ray session).
@@ -233,10 +235,11 @@ class ShardWorker:
         bit-identical to local daat-with-mask, and selective filters
         also shrink the bytes on the wire."""
         out = {}
-        mask = self.idx._filter_mask(where, where_range)
         # one routing hash serves every uncached term; a cached run
         # carries its df, so a warm term is neither hashed nor probed
-        route = self.idx._router(terms)
+        route, keep = self.idx._gate(terms, where=where,
+                                     where_range=where_range)
+        mask = keep()
         for t in terms:
             dec = self.idx._decoded(t, route)
             pos, s = (None, None) if dec is None else dec[:2]
@@ -556,14 +559,12 @@ class _Front:
             return []
         return _sum_buckets(self._facets(query, col, edges, **gates))
 
-    def _facets(self, query: str, col: str, edges, where=None,
-                require_all=False, must=None, exclude=None) -> list:
+    def _facets(self, query: str, col: str, edges, **clauses) -> list:
         """Per-doc-range facet parts: the scatter match_count uses gives
         the gated match set, and one worker per doc range counts the
         matched docs it holds from its own sidecar slice."""
-        ids = self._match(self._scatter(terms_of(query, self.cfg), where,
-                                        None, must, exclude,
-                                        require_all))[0]
+        ids = self._match(self._scatter(terms_of(query, self.cfg),
+                                        **clauses))[0]
         si = self._rr % self.n_shards
         return ray.get([self._replica(si, ri).facets_of.remote(
             ids, col, edges) for ri in range(self.n_ranges)])

@@ -27,6 +27,7 @@ import urllib.request
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 
@@ -134,8 +135,8 @@ def test_missing_listed_part_fails_loud(ft_idx, tmp_path):
     """A listed postings part whose directory is deleted raises a
     CorruptIndexError (an OSError, not the FileNotFoundError that reads
     as a missing sidecar) and answers HTTP 500; a part the manifest
-    does not list stays an empty part."""
-    from engine.http_serve import EngineHttpServer
+    does not list stays an empty part.  A missing listed docmeta part
+    and a positional segment's missing positions.bin raise too."""
     d, _ = ft_idx
     local = InvertedIndex(d)
     term = next(t for t in local.query_terms(Q)
@@ -150,21 +151,7 @@ def test_missing_listed_part_fails_loud(ft_idx, tmp_path):
     assert isinstance(err.value, OSError)
     assert not isinstance(err.value, FileNotFoundError)
 
-    srv = EngineHttpServer(index_dir=broken)
-    port = srv.start()
-    try:
-        rq = urllib.request.Request(
-            f"http://127.0.0.1:{port}/v1/search",
-            data=json.dumps({"query": term}).encode(),
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as resp:
-            urllib.request.urlopen(rq, timeout=30)
-        assert resp.value.code == 500
-        body = json.loads(resp.value.read())
-        assert body["error"]["code"] == "internal_error"
-        assert "listed in the manifest" in body["error"]["message"]
-    finally:
-        srv.stop()
+    assert "listed in the manifest" in _http_500(broken, {"query": term})
 
     # unlisted (a part the build never wrote): empty, not an error
     mpath = os.path.join(broken, "_manifest.json")
@@ -174,3 +161,47 @@ def test_missing_listed_part_fails_loud(ft_idx, tmp_path):
     with open(mpath, "w") as f:
         json.dump(manifest, f)
     assert InvertedIndex(broken).search(term, k=10) == []
+
+    # a listed docmeta part gone from disk: every later part's docs
+    # would shift into its slots, so the loader refuses to open
+    shutil.rmtree(part_dir(broken, "docmeta", 1))
+    with pytest.raises(CorruptIndexError, match="docmeta part 1 is listed"):
+        InvertedIndex(broken)
+
+    # a positional segment without its positions.bin: phrase search
+    # raises instead of reading offsets into an empty blob
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([11, 12, 13], pa.int64()),
+        "text": ["hash join table", "a hash join", "join hash"]}), src)
+    pos = str(tmp_path / "pos")
+    cfg = EngineConfig(num_parts=2, docmeta_parts=1, store_positions=True)
+    build_index(src, pos, cfg, mode="docs")
+    assert InvertedIndex(pos).search_phrase("hash join")
+    os.remove(os.path.join(part_dir(pos, "postings", part_of("hash", cfg)),
+                           "positions.bin"))
+    with pytest.raises(CorruptIndexError, match="positions.bin"):
+        InvertedIndex(pos).search_phrase("hash join")
+    assert "positions.bin" in _http_500(pos, {"query": "hash join",
+                                              "phrase": True})
+
+
+def _http_500(index_dir: str, req: dict) -> str:
+    """POST ``req`` to /v1/search on a local-index server over
+    ``index_dir``; assert a JSON 500 internal_error -> its message."""
+    from engine.http_serve import EngineHttpServer
+    srv = EngineHttpServer(index_dir=index_dir)
+    port = srv.start()
+    try:
+        rq = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/search",
+            data=json.dumps(req).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as resp:
+            urllib.request.urlopen(rq, timeout=30)
+    finally:
+        srv.stop()
+    assert resp.value.code == 500
+    body = json.loads(resp.value.read())
+    assert body["error"]["code"] == "internal_error"
+    return body["error"]["message"]

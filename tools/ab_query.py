@@ -6,8 +6,9 @@ of this repository, each in its own fresh subprocess, alternating which
 side runs first in each pair.  Both sides query one copy of one index,
 so only the engine code differs.  Per pair and query kind it reports
 p50 and p95 of each query's best-of-N latency, the parent/change ratio
-(above 1: the change is faster), a digest of every answer (both sides
-must agree) and the host probe of each worker.
+(above 1: the change is faster), a digest of each kind's answers (both
+sides must agree, kind by kind, so a change shows which kind's bits
+moved) and the host probe of each worker.
 
     python tools/ab_query.py --parent ../parent --change . --seed 5 \\
         --pairs 2 --best-of 5 --budget warm
@@ -31,7 +32,7 @@ routes against each other, pass one checkout as both sides:
         --parent-route exhaustive --change-route pruned
 
 A table goes to stderr; the last line of stdout is the whole result as
-JSON.  Exits 1 when the two sides' answers differ.
+JSON.  Exits 1 when the two sides' answers of any kind differ.
 
 perfbench's ``fixture``, ``oracle`` and ``lifecycle`` modules are
 imported as they are; nothing under ``perfbench/`` is written.
@@ -98,8 +99,9 @@ def worker(args) -> None:
     print(json.dumps({
         "p50_ms": {k: statistics.median(v) for k, v in lat.items()},
         "p95_ms": {k: pct(v, 0.95) for k, v in lat.items()},
-        "digest": hashlib.sha256(
-            json.dumps(answers).encode()).hexdigest(),
+        "digests": {k: hashlib.sha256(json.dumps(
+            [a for a, (kind, _) in zip(answers, items) if kind == k]
+        ).encode()).hexdigest() for k in KINDS},
         "host": probe.finish(),
         "module": sys.modules["engine.query"].__file__,
     }))
@@ -215,8 +217,8 @@ def main() -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pairs.append({name: run_side(args, *sides[name], index, mix, budget)
                       for name in order} | {"first": order[0]})
-    digests_equal = all(p["parent"]["digest"] == p["change"]["digest"]
-                        for p in pairs)
+    equal = {k: all(p["parent"]["digests"][k] == p["change"]["digests"][k]
+                    for p in pairs) for k in KINDS}
     log = sys.stderr
     print(f"seed {args.seed}, rows {args.rows or 'perfbench'}, budget "
           f"{args.budget} ({budget} B), best of {args.best_of}, "
@@ -239,15 +241,16 @@ def main() -> int:
                   f"{h['start']['python_ms']:.1f}/"
                   f"{h['end']['python_ms']:.1f} ms, steal "
                   f"{h['steal_share']}", file=log)
-    print(f"digests {'equal' if digests_equal else 'DIFFER'}: "
-          f"{pairs[0]['parent']['digest'][:16]}", file=log)
+    for k in KINDS:
+        print(f"{k} digests {'equal' if equal[k] else 'DIFFER'}: "
+              f"{pairs[0]['parent']['digests'][k][:16]}", file=log)
     print(json.dumps({"seed": args.seed, "rows": args.rows,
                       "routes": [args.parent_route, args.change_route],
                       "cpus": len(os.sched_getaffinity(0)),
                       "budget": args.budget,
                       "budget_bytes": budget, "best_of": args.best_of,
-                      "digests_equal": digests_equal, "pairs": pairs}))
-    return 0 if digests_equal else 1
+                      "digests_equal": equal, "pairs": pairs}))
+    return 0 if all(equal.values()) else 1
 
 
 if __name__ == "__main__":
