@@ -342,11 +342,13 @@ class EngineHttpServer:
         where = None
         flt = req.get("filter")
         if flt:
-            if not isinstance(flt, dict) or "col" not in flt:
+            # a filter without values would match no document: reject it
+            vals = (flt.get("values", flt.get("value"))
+                    if isinstance(flt, dict) else None)
+            if vals is None or "col" not in flt:
                 return 400, _error(
                     'filter must be an object {"col": ..., "values": [...]}',
                     "invalid_request_error", "invalid_request")
-            vals = flt.get("values", flt.get("value"))
             if not isinstance(vals, (list, tuple)):
                 vals = [vals]
             where = (flt["col"], tuple(vals))

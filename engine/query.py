@@ -567,7 +567,7 @@ class InvertedIndex:
         hi_key = prefix + "\U0010FFFF"
         cand: list[tuple[int, str]] = []
         # ``parts``: restrict to a part subset (term-sharded serving —
-        # a ShardWorker owns a part range and must neither load nor
+        # a term shard's worker owns a part range and must neither load nor
         # answer for other shards' dictionary parts; parts partition
         # the term space, so per-shard top-k merges exactly)
         for part in (range(self.cfg.num_parts) if parts is None
@@ -992,6 +992,8 @@ class InvertedIndex:
         never-matching phrase degrades to <=2x the all-at-once gather
         (geometric chunk sum).
         """
+        if slop < 0:
+            raise ValueError(f"slop must be >= 0, got {slop}")
         if k <= 0:
             return []
         toks = tokenize(query, self.cfg.cjk_unigrams)

@@ -1,49 +1,47 @@
-"""Distributed query serving: Ray-actor replicas + part-range shards.
+"""Distributed query serving: two layouts over one worker actor.
 
-Reference analog: the actix-web embedding server (S9,
-/root/reference/server/src/lib.rs:142-258) and the `Arc<Embedder>`
-shared-state pattern (/root/reference/rust/src/lib.rs:839).  Two tiers:
+Reference analog: the actix-web embedding server (S9, the reference's
+``server/src/lib.rs``) and its one warm ``Arc<Embedder>`` per process.
+Every serving actor here is an ``IndexWorker``: one warm
+``InvertedIndex`` with a generic ``call(name, dfs, ...)`` that runs the
+loader method, which owns every query shape's parameter list.  The
+layouts differ only in how a request is scattered and merged.
 
-* ``QueryService`` — N full replicas (index fits per node), round-robin
-  front.  Throughput scales with replicas; memory does not shrink.
-* ``ShardedQueryService`` — the scale tier: the term-partitioned
-  segments are split part-range per shard actor; the front tokenizes,
-  routes each query term to its owning shard (part = hash64(term) %
-  num_parts; shard = part % n_shards), scatter-gathers per-term scored
-  posting arrays and accumulates exactly like the exhaustive DAAT path
-  — bit-identical results to a single-process index (pytest-asserted).
-  Per-shard resident memory = its part range's working set (mmap blobs).
-  With ``n_doc_ranges > 1`` each term shard becomes a GROUP of
-  doc-range workers: every worker holds only its hash-range's docmeta
-  slice (O(corpus / n_ranges) resident — doc ids are uniform 63-bit
-  hashes so equal-width ranges balance with no scan) and decodes only
-  the posting-block window intersecting its range; the front
-  concatenates per-range fragments in range order, which reproduces
-  the full docID-sorted decode bit-for-bit.
-  Trade-off, stated honestly: term-sharding ships decoded postings of
-  the query terms over the network (bounded by query df, large for
-  stopwords); doc-sharded serving (per-shard top-k, merge k·S rows)
-  is the classic web-search layout and falls out of building S doc-range
-  indexes — the build already supports arbitrary input splits.  Term
-  sharding is the natural fit for THIS index's on-disk layout.
-  (``DocShardedQueryService`` below implements that third layout:
-  per-shard top-k over a distributed-IDF exchange, exact merges.)
+* Doc-partitioned — ``DocShardedQueryService``: each shard is a complete
+  index over a disjoint doc range, held by one or more warm replicas.
+  A request goes to one replica per shard (its routing key's hash, so
+  a repeated request finds that replica's caches warm), every shard
+  answers whole with GLOBAL statistics (manifest N/avgdl in the worker
+  constructor, per-term dfs exchanged and sent with the call), and the
+  front merges S small answers: top-k lists merge, counts and facet
+  buckets sum, hydration takes the one shard that holds each doc.
+  ``QueryService`` — N full replicas — is this layout with one shard:
+  that shard's dfs are the global dfs (no exchange) and each merge of
+  one list returns it unchanged.  Throughput scales with replicas;
+  memory shrinks with shards.
+* Term-partitioned — ``ShardedQueryService``: the index's term parts
+  are split part-range per shard actor; the front tokenizes, routes
+  each query term to its owning shard (part = hash64(term) % num_parts;
+  shard = part % n_shards), scatter-gathers per-term scored posting
+  arrays and accumulates exactly like the exhaustive DAAT path —
+  bit-identical to a single-process index (pytest-asserted).  With
+  ``n_doc_ranges > 1`` each term shard becomes a GROUP of doc-range
+  workers that hold only their hash range's docmeta slice and decode
+  only the posting blocks intersecting it; the front concatenates the
+  per-range fragments in range order, which reproduces the full
+  docID-sorted decode bit-for-bit.  The trade-off: it ships the query
+  terms' decoded postings (bounded by df, large for stopwords), where
+  the doc-partitioned layout ships O(S * k) rows.
 
 Per-tier query surface: every tier serves search, match_count, facets
-and histogram facets with one clause set (must / exclude /
-require_all / where / where_range, read by ``InvertedIndex._gate``),
-weighted search and counts with where / where_range, suggest, and
-url_of / snippets_of top-k hydration.  The replica and doc-shard
-workers expose one ``call(name, ...)`` that runs the ``InvertedIndex``
-method, which owns every parameter list; a service method is a routing
-line plus its merge.  The term-sharded front computes each shape from
-one scatter-gather core (facets: the gated match set, counted on one
-worker per doc range).  ``search_phrase`` takes the same clauses but
-require_all, and runs on ``QueryService`` and
-``DocShardedQueryService`` (phrase matching is a per-doc predicate, so
-per-shard match + global-stats scores merge exactly) — never on the
-term-sharded tier, which would have to ship position runs between
-shards for every multi-term phrase.
+and histogram facets with one clause set (must / exclude / require_all
+/ where / where_range, read by ``InvertedIndex._gate``), weighted
+search and counts with where / where_range, suggest, and url_of /
+snippets_of top-k hydration.  ``search_phrase`` takes the same clauses
+but require_all, and runs on the doc-partitioned layout only (phrase
+matching is a per-doc predicate, so per-shard match + global-stats
+scores merge exactly) — a term-partitioned layout would have to ship
+position runs between shards for every multi-term phrase.
 
 The module creates actors only when a service is explicitly
 instantiated — never at import (the driver owns the Ray session).
@@ -63,12 +61,15 @@ from engine.query import (InvertedIndex, parts_of, sum_order, terms_of,
 from engine.tokenize import stable_hash64
 
 
-def _route(workers: list, key):
-    """The replica a routing key lands on.  stable_hash64, not builtin
-    ``hash`` (salted per process by PYTHONHASHSEED), so a repeated query
-    reaches the same replica's caches across driver restarts."""
+def _route(group: list, key):
+    """The replica of ``group`` a routing key lands on.  stable_hash64,
+    not builtin ``hash`` (salted per process by PYTHONHASHSEED), so a
+    repeated query reaches the same replica's caches across driver
+    restarts; a group of one needs no hash."""
+    if len(group) == 1:
+        return group[0]
     h = stable_hash64([repr(key)])[0]
-    return workers[int(h % np.uint64(len(workers)))]
+    return group[int(h % np.uint64(len(group)))]
 
 
 def _first_held(parts: list[list]) -> list:
@@ -105,114 +106,39 @@ def _sum_buckets(parts: list[list]) -> list[tuple]:
 
 
 @ray.remote
-class QueryWorker:
-    """One warm replica.  Heavy load in __init__, cheap calls after."""
+class IndexWorker:
+    """One warm ``InvertedIndex``: a replica, a doc shard, or a term
+    shard's (doc-range slice) worker.  Heavy load in __init__, cheap
+    calls after.
 
-    def __init__(self, index_dir: str):
-        self.idx = InvertedIndex(index_dir)
+    Everything the loader scores with besides per-term dfs is a
+    constructor argument (``stats`` = global N / avgdl, ``doc_range``,
+    ``cache_budget_bytes``): with ``max_restarts`` set, Ray re-runs
+    only ``__init__`` after an actor death and replays its args, so the
+    revived actor scores exactly as the original did.  Nothing mutates
+    the loader after that.  A term shard's loader loads term parts
+    lazily, so its postings memory is the warmed part range (mmap)."""
 
-    def call(self, name: str, *args, **kwargs):
-        """Run ``InvertedIndex.<name>``: the loader owns every query
-        shape's parameter list, so a replica forwards it untouched."""
-        return getattr(self.idx, name)(*args, **kwargs)
+    def __init__(self, index_dir: str, **loader):
+        self.idx = InvertedIndex(index_dir, **loader)
 
+    def call(self, name: str, dfs: dict[str, int] | None, *args,
+             **kwargs):
+        """Run ``InvertedIndex.<name>`` on a view that scores with the
+        GLOBAL per-term ``dfs`` (a doc shard's exchange), or on the
+        loader itself when ``dfs`` is None: a replica's dfs are global,
+        and so are a term shard's, whose one part holds all of a term's
+        postings.  On a term shard it is safe for calls that need no
+        other shard's terms or docs: a whole query whose terms all live
+        here, suggest over this shard's ``parts``, snippets (disk-side
+        sidecar reads) and url_of (None for ids outside the doc
+        range)."""
+        return getattr(self.idx.scored_with(dfs), name)(*args, **kwargs)
 
-class QueryService:
-    """N warm full replicas.  Every call runs whole on the replica its
-    routing key hashes to (query, weight vector, prefix or id list), so
-    a repeated request reuses that replica's decoded-term and positions
-    caches instead of warming a copy in every replica's budget."""
+    def term_dfs(self, terms: list[str]) -> dict[str, int]:
+        return dict(zip(terms, self.idx.dfs_of(terms)))
 
-    def __init__(self, index_dir: str, replicas: int = 2,
-                 num_cpus: float = 1.0):
-        self.workers = [
-            QueryWorker.options(num_cpus=num_cpus, max_restarts=4,
-                                max_task_retries=2).remote(index_dir)
-            for _ in range(replicas)
-        ]
-        # block until every replica is warm (index loaded)
-        ray.get([w.call.remote("search", "", 1) for w in self.workers])
-
-    def _call(self, key, name: str, *args, **kwargs):
-        return ray.get(_route(self.workers, key).call.remote(
-            name, *args, **kwargs))
-
-    def search(self, query: str, k: int = 10, **kwargs):
-        return self._call(query, "search", query, k, **kwargs)
-
-    def search_phrase(self, query: str, k: int = 10, **kwargs):
-        return self._call(query, "search_phrase", query, k, **kwargs)
-
-    def match_count(self, query: str, **kwargs) -> int:
-        return self._call(query, "match_count", query, **kwargs)
-
-    def facet_counts(self, query: str, col: str, **kwargs):
-        return self._call(query, "facet_counts", query, col, **kwargs)
-
-    def facet_histogram(self, query: str, col: str, edges, **kwargs):
-        return self._call(query, "facet_histogram", query, col,
-                          list(edges), **kwargs)
-
-    def snippets_of(self, query: str, doc_ids, *args, **kwargs):
-        return self._call(query, "snippets_of", query, list(doc_ids),
-                          *args, **kwargs)
-
-    def suggest(self, prefix: str, k: int = 10):
-        return self._call(prefix, "suggest", prefix, k)
-
-    def search_weighted(self, term_weights, k: int = 10, **kwargs):
-        items = weight_items(term_weights)
-        return self._call(items, "search_weighted", items, k, **kwargs)
-
-    def match_count_weighted(self, term_weights, **kwargs) -> int:
-        items = weight_items(term_weights)
-        return self._call(items, "match_count_weighted", items, **kwargs)
-
-    def url_of(self, doc_ids):
-        ids = list(doc_ids)
-        return self._call(ids, "url_of", ids)
-
-    def search_many(self, queries: list[str], k: int = 10, **kwargs):
-        """Fan a query batch across replicas; results in input order."""
-        n = len(self.workers)
-        return ray.get([self.workers[i % n].call.remote("search", q, k,
-                                                        **kwargs)
-                        for i, q in enumerate(queries)])
-
-    def shutdown(self):
-        for w in self.workers:
-            ray.kill(w)
-        self.workers = []
-
-
-# ---------------------------------------------------------------------------
-# sharded tier: part-range shards + scatter-gather front
-# ---------------------------------------------------------------------------
-
-@ray.remote
-class ShardWorker:
-    """Owns a part range of the term-partitioned index, optionally
-    restricted to a DOC RANGE: with ``doc_range`` set the worker loads
-    only that range's docmeta slice (O(corpus / n_ranges) resident, the
-    round-2 docmeta-residency fix) and its loader's one decode path
-    reads only the posting blocks intersecting the range.  The wrapped
-    InvertedIndex loads term parts lazily, so postings memory = the
-    warmed part range (mmap)."""
-
-    def __init__(self, index_dir: str,
-                 doc_range: tuple[int, int] | None = None,
-                 cache_budget_bytes: int = 1 << 30):
-        self.idx = InvertedIndex(index_dir, doc_range=doc_range,
-                                 cache_budget_bytes=cache_budget_bytes)
-
-    def call(self, name: str, *args, **kwargs):
-        """Run ``InvertedIndex.<name>`` on this worker's loader.  Safe
-        for calls that need no other shard's terms or docs: a whole
-        query whose terms all live here, suggest over this shard's
-        ``parts``, snippets (disk-side sidecar reads) and url_of (None
-        for ids outside this worker's doc range)."""
-        return getattr(self.idx, name)(*args, **kwargs)
-
+    # -- term-shard exchange ------------------------------------------------
     def warm(self, parts: list[int]) -> bool:
         for p in parts:
             self.idx._load_part(p)
@@ -283,12 +209,293 @@ class ShardWorker:
         return self.idx._bucket_counts(mask, col, edges)
 
 
+# ---------------------------------------------------------------------------
+# doc-partitioned layout: doc-range shards x replicas, distributed-IDF
+# ---------------------------------------------------------------------------
+
+class DocShardedQueryService:
+    """The QPS-optimal distributed layout (classic web-search design):
+    each shard holds a COMPLETE index over a disjoint doc range, answers
+    top-k locally, and the front merges S small top-k lists — network
+    per query is O(S * k), independent of posting lengths (vs the
+    term-sharded tier's O(sum df)).  ``shards[si]`` lists shard si's
+    ``replicas`` warm workers; a request runs on the one replica per
+    shard its routing key (query, weight items, prefix or id list)
+    hashes to, so a repeated request reuses that replica's caches.
+
+    Exactness: naive per-shard BM25 would use local df/N/avgdl and
+    drift from a single global index.  This front runs the classic
+    distributed-statistics exchange instead: global N/avgdl are summed
+    from the manifests and passed to each worker's constructor once;
+    per query, phase 1 sums each shard's df for the query terms
+    (memoized front-side) and phase 2 sends those dfs with the call,
+    so each shard scores with GLOBAL stats and the merged top-k is
+    exact: scores are BIT-identical to a single global index on every
+    route (pytest-asserted; the sum order keys on the global df).  With
+    one shard its dfs are the global dfs, so nothing is exchanged.  No
+    call changes a worker's state: a shard's cached runs record the
+    global df they were scored with, which is fixed for a term, so
+    steady-state serving re-decodes nothing.
+
+    Every other clause is a per-doc predicate over docs each shard
+    owns whole (where / where_range sidecars, must / exclude /
+    require_all postings, phrase matching), so shard-local gating
+    merges exactly: top-k lists merge, counts and facet buckets sum,
+    and hydration takes the one shard that answers per doc.
+
+    Requirement: the doc partitioner must be doc-consistent (e.g.
+    hash64(url) % S) so a url's duplicates dedup within one shard.
+    Doc-values filters need attach_doc_values per SHARD index.
+    """
+
+    def __init__(self, index_dirs: list[str], num_cpus: float = 0.5,
+                 replicas: int = 1):
+        # global stats from the manifests DRIVER-side (cheap JSON reads)
+        # so they can ride in the worker CONSTRUCTOR — restart-safe
+        # (see IndexWorker); max_task_retries replays a read-only call
+        # on the revived actor transparently
+        stats = [index_io.load_manifest(d)["stats"] for d in index_dirs]
+        self.n_docs = sum(int(s["n_docs"]) for s in stats)
+        tot = sum(int(s["total_tokens"]) for s in stats)
+        # same float op as index_io.finalize -> bitwise-equal avgdl
+        self.avgdl = (tot / self.n_docs) if self.n_docs else 0.0
+        self.shards = [
+            [IndexWorker.options(num_cpus=num_cpus, max_restarts=4,
+                                 max_task_retries=2)
+             .remote(d, stats=(self.n_docs, self.avgdl))
+             for _ in range(replicas)]
+            for d in index_dirs]
+        self.workers = [w for group in self.shards for w in group]
+        # block until every replica is warm (index loaded)
+        ray.get([w.call.remote("search", None, "", 1)
+                 for w in self.workers])
+        self.cfg = EngineConfig.from_dict(
+            index_io.load_manifest(index_dirs[0])["config"])
+        # count-bounded LRU: the front's global-df memo otherwise grows
+        # with distinct query terms forever
+        self._df_cache = LRUCache(1_000_000)
+        # ops probe: wire rows + rounds of the latest TA suggest call
+        self.last_suggest_stats: dict = {}
+
+    def _global_dfs(self, terms: list[str]) -> dict[str, int] | None:
+        """term -> df summed over the shards; None with one shard, whose
+        own dfs are the global dfs."""
+        if len(self.shards) == 1:
+            return None
+        out = {t: self._df_cache.get(t) for t in terms}
+        missing = [t for t, v in out.items() if v is None]
+        if missing:
+            per_shard = ray.get([group[0].term_dfs.remote(missing)
+                                 for group in self.shards])
+            for t in missing:
+                out[t] = sum(d[t] for d in per_shard)
+        # put only after ``out`` holds every term: the puts then make
+        # this query's terms the newest entries, in query order
+        for t in terms:
+            self._df_cache.put(t, out[t], 1)
+        return out
+
+    def _dfs(self, query: str) -> dict[str, int] | None:
+        # must / exclude terms are membership masks, df-independent:
+        # only scored terms exchange
+        return self._global_dfs(terms_of(query, self.cfg))
+
+    def _submit(self, key, name: str, dfs, *args, **kwargs) -> list:
+        """Start ``InvertedIndex.<name>`` on the replica ``key`` routes
+        to in every shard -> the futures, in shard order."""
+        return [_route(group, key).call.remote(name, dfs, *args, **kwargs)
+                for group in self.shards]
+
+    def _fan(self, key, name: str, dfs, *args, **kwargs) -> list:
+        return ray.get(self._submit(key, name, dfs, *args, **kwargs))
+
+    def search(self, query: str, k: int = 10, **clauses):
+        if k <= 0:
+            return []
+        return _merge_topk(self._fan(query, "search", self._dfs(query),
+                                     query, k, **clauses), k)
+
+    def search_many(self, queries: list[str], k: int = 10, **clauses):
+        """Pipelined: all queries' per-shard top-k futures are in flight
+        before the first merge (merges touch only shards x k rows)."""
+        if k <= 0:
+            return [[] for _ in queries]
+        plans = [self._submit(q, "search", self._dfs(q), q, k, **clauses)
+                 for q in queries]
+        return [_merge_topk(ray.get(p), k) for p in plans]
+
+    def search_phrase(self, query: str, k: int = 10, **kwargs):
+        """Distributed phrase / proximity top-k (positional shard
+        indexes only).  Phrase matching is a PER-DOCUMENT predicate and
+        every doc lives whole on one shard, so scattering the phrase
+        and merging per-shard top-k is exact — the reason real engines
+        shard by document, not by term: a term-sharded layout would
+        have to ship position runs between shards for every multi-term
+        phrase."""
+        if k <= 0:
+            return []
+        return _merge_topk(self._fan(query, "search_phrase",
+                                     self._dfs(query), query, k, **kwargs),
+                           k)
+
+    def search_weighted(self, term_weights, k: int = 10, **filters):
+        """Weighted-term (SPLADE-seam) top-k: the weight keys are the
+        scored terms VERBATIM (callers supply already-analyzed terms,
+        the learned-sparse contract), so the global-df exchange runs
+        over them directly — no tokenize."""
+        if k <= 0:
+            return []
+        items = weight_items(term_weights)
+        dfs = self._global_dfs(list(dict.fromkeys(t for t, _ in items)))
+        return _merge_topk(self._fan(items, "search_weighted", dfs, items,
+                                     k, **filters), k)
+
+    def match_count_weighted(self, term_weights, **filters) -> int:
+        items = weight_items(term_weights)
+        return sum(self._fan(items, "match_count_weighted", None, items,
+                             **filters))
+
+    def match_count(self, query: str, **clauses) -> int:
+        # masks need no df, but a miss decodes with the global dfs, so
+        # the scored searches that follow reuse the run
+        return sum(self._fan(query, "match_count", self._dfs(query), query,
+                             **clauses))
+
+    def facet_counts(self, query: str, col: str, **gates):
+        return _sum_counts(self._fan(query, "facet_counts",
+                                     self._dfs(query), query, col, **gates))
+
+    def facet_histogram(self, query: str, col: str, edges, **gates):
+        return _sum_buckets(self._fan(query, "facet_histogram",
+                                      self._dfs(query), query, col,
+                                      list(edges), **gates))
+
+    def snippets_of(self, query: str, doc_ids, *args, **kwargs):
+        """Each shard windows the docs it owns (doc text never crosses
+        the wire — only the k window strings return)."""
+        return _first_held(self._fan(query, "snippets_of", None, query,
+                                     list(doc_ids), *args, **kwargs))
+
+    def url_of(self, doc_ids):
+        ids = list(doc_ids)
+        return _first_held(self._fan(ids, "url_of", None, ids))
+
+    def suggest(self, prefix: str, k: int = 10):
+        """Distributed prefix suggestion by THRESHOLD ALGORITHM (Fagin
+        TA shape) — a term outside one shard's local top-k can still
+        win on the SUMMED df, but full per-shard enumeration ships
+        ~every prefixed (term, df) pair per keystroke.  Instead:
+
+        phase 1: each shard returns its local top-(m+1) (m = 2k + 8,
+        doubling per round): the top-m, and as REMAINDER BOUND the
+        (m+1)th df — an upper bound on any term it didn't return (the
+        rows are df-desc sorted).  theta = the kth
+        largest PARTIAL sum over seen terms (a lower bound of the true
+        kth summed df); rounds deepen until no UNSEEN term's upper
+        bound (sum of all remainder bounds) can reach theta, or every
+        shard is exhausted.
+
+        phase 2: exact dfs are fetched ONLY for seen terms whose upper
+        bound (partial + non-reporting shards' remainder bounds) can
+        still reach theta, and only from the shards that didn't report
+        them.  Terms pruned by either phase have exact sum strictly
+        below the kth exact sum (partial <= exact, bounds are upper
+        bounds), so the cut is BIT-IDENTICAL to the exhaustive merge —
+        pytest pins this against the exhaustive merge of every
+        shard's whole prefixed range on the fixture set.  With one
+        shard the rounds deepen until its (m+1)th df falls below the
+        kth, which keeps every tie at the kth df.
+
+        ``last_suggest_stats`` records wire rows + rounds (the test's
+        exchange-size assertion and an ops probe)."""
+        if k <= 0 or not prefix:
+            return []
+        workers = [_route(group, prefix) for group in self.shards]
+        n_shards = len(workers)
+        seen: list[dict[str, int]] = [dict() for _ in range(n_shards)]
+        bounds = [0] * n_shards
+        exhausted = [False] * n_shards
+        wire_rows = 0
+        m = 2 * k + 8
+        rounds = 0
+        while True:
+            rounds += 1
+            live = [si for si in range(n_shards) if not exhausted[si]]
+            parts = ray.get([workers[si].call.remote(
+                "suggest", None, prefix, m + 1) for si in live])
+            for si, rows in zip(live, parts):
+                wire_rows += len(rows)
+                exhausted[si] = len(rows) <= m
+                bounds[si] = 0 if exhausted[si] else int(rows[m][1])
+                seen[si] = dict(rows[:m])  # refetch supersedes (superset)
+            partial: dict[str, int] = {}
+            for s in seen:
+                for t, df in s.items():
+                    partial[t] = partial.get(t, 0) + df
+            if all(exhausted):
+                # every (term, shard) df is known — partials are exact
+                out = sorted(partial.items(), key=lambda x: (-x[1], x[0]))
+                self.last_suggest_stats = {"wire_rows": wire_rows,
+                                           "rounds": rounds, "exact_fetch": 0}
+                return out[:k]
+            unseen_upper = sum(bounds)
+            if len(partial) >= k:
+                theta = sorted(partial.values(), reverse=True)[k - 1]
+                if unseen_upper < theta:
+                    break
+            m *= 2
+        # phase 2: exact sums for candidates whose upper bound reaches
+        # theta, fetched only from the shards that didn't report them
+        need: list[list[str]] = [[] for _ in range(n_shards)]
+        cand = []
+        for t, p in partial.items():
+            upper = p + sum(bounds[si] for si in range(n_shards)
+                            if t not in seen[si])
+            if upper >= theta:
+                cand.append(t)
+                for si in range(n_shards):
+                    if t not in seen[si] and not exhausted[si]:
+                        need[si].append(t)
+        fetch = [(si, ts) for si, ts in enumerate(need) if ts]
+        extra = ray.get([workers[si].term_dfs.remote(ts)
+                         for si, ts in fetch])
+        exact_fetch = sum(len(ts) for _, ts in fetch)
+        for (si, _ts), dfs in zip(fetch, extra):
+            for t, df in dfs.items():
+                seen[si][t] = df
+        tot = {t: sum(s.get(t, 0) for s in seen) for t in cand}
+        out = sorted(tot.items(), key=lambda x: (-x[1], x[0]))
+        self.last_suggest_stats = {"wire_rows": wire_rows + exact_fetch,
+                                   "rounds": rounds,
+                                   "exact_fetch": exact_fetch}
+        return out[:k]
+
+    def shutdown(self):
+        for w in self.workers:
+            ray.kill(w)
+        self.shards = []
+        self.workers = []
+
+
+class QueryService(DocShardedQueryService):
+    """N warm full replicas: the doc-partitioned layout with one shard.
+    Throughput scales with replicas; memory does not shrink."""
+
+    def __init__(self, index_dir: str, replicas: int = 2,
+                 num_cpus: float = 1.0):
+        super().__init__([index_dir], num_cpus=num_cpus, replicas=replicas)
+
+
+# ---------------------------------------------------------------------------
+# term-partitioned layout: part-range shards + scatter-gather front
+# ---------------------------------------------------------------------------
+
 _MISS = object()    # cache-miss sentinel: None is a cached gate value
 
 
 class _Front:
-    """Stateless routing + accumulation logic shared by the local front
-    and the FrontWorker actor pool.  ``shards[si][ri]`` is the replica
+    """Stateless routing + accumulation logic shared by
+    ShardedQueryService (the local front) and the FrontWorker pool.  ``shards[si][ri]`` is the replica
     list for term-shard si, doc-range ri: a query term is routed to its
     owning term shard and fanned across that shard's doc-range workers;
     the per-range scored fragments are concatenated in ascending-range
@@ -495,7 +702,7 @@ class _Front:
         if len(shards) == 1 and self.n_ranges == 1:
             self._rr += 1
             return self._replica(shards.pop(), 0).call.remote(
-                "search", query, k, method="daat", where=where,
+                "search", None, query, k, method="daat", where=where,
                 where_range=where_range)
         return self._scatter(terms, where, where_range, shard=shard)
 
@@ -584,12 +791,13 @@ class FrontWorker:
         return self.front.search_many(queries, k, **clauses)
 
 
-class ShardedQueryService:
+class ShardedQueryService(_Front):
     """Scatter-gather over part-range shards (optionally replicated per
-    shard, optionally with an actor pool of fronts).  Results are
-    bit-identical to a local ``InvertedIndex.search(..., method="daat")``
-    — every front reproduces its exact accumulation order (see _Front;
-    clauses: where / where_range / must / exclude / require_all)."""
+    shard, optionally with an actor pool of fronts); the service is
+    itself the local front.  Results are bit-identical to a local
+    ``InvertedIndex.search(..., method="daat")`` — every front
+    reproduces its exact accumulation order (see _Front; clauses:
+    where / where_range / must / exclude / require_all)."""
 
     def __init__(self, index_dir: str, n_shards: int = 2,
                  replicas_per_shard: int = 1, n_fronts: int = 0,
@@ -610,25 +818,24 @@ class ShardedQueryService:
         # The per-worker decoded-term cache budget divides by the
         # total worker count so the tier's aggregate cache stays
         # within one budget.
-        self.manifest = index_io.load_manifest(index_dir)
-        self.cfg = EngineConfig.from_dict(self.manifest["config"])
+        cfg = EngineConfig.from_dict(
+            index_io.load_manifest(index_dir)["config"])
         bounds = [(2 ** 63) * r // n_doc_ranges
                   for r in range(n_doc_ranges + 1)]
         per_worker_budget = max(
             1 << 20,
             cache_budget_bytes
             // (n_shards * n_doc_ranges * replicas_per_shard))
-        self.shards = []
+        shards = []
         self._shard_parts: list[list[int]] = []
         for si in range(n_shards):
-            parts = [p for p in range(self.cfg.num_parts)
-                     if p % n_shards == si]
+            parts = [p for p in range(cfg.num_parts) if p % n_shards == si]
             self._shard_parts.append(parts)
             ranges = []
             for ri in range(n_doc_ranges):
                 doc_range = ((bounds[ri], bounds[ri + 1])
                              if n_doc_ranges > 1 else None)
-                replicas = [ShardWorker.options(
+                replicas = [IndexWorker.options(
                                 num_cpus=num_cpus, max_restarts=4,
                                 max_task_retries=2)
                             .remote(index_dir, doc_range=doc_range,
@@ -636,23 +843,20 @@ class ShardedQueryService:
                             for _ in range(replicas_per_shard)]
                 ray.get([r.warm.remote(parts) for r in replicas])
                 ranges.append(replicas)
-            self.shards.append(ranges)
-        self._local = _Front(self.cfg, self.shards)
+            shards.append(ranges)
+        super().__init__(cfg, shards)
         self.fronts = [
             FrontWorker.options(num_cpus=num_cpus, max_restarts=4,
                                 max_task_retries=2)
-            .remote(self.cfg.to_dict(), self.shards)
+            .remote(cfg.to_dict(), shards)
             for _ in range(n_fronts)
         ]
 
-    def search(self, query: str, k: int = 10, **clauses):
-        return self._local.search(query, k, **clauses)
-
     def search_many(self, queries: list[str], k: int = 10, **clauses):
         """With fronts: interleave the batch across the front pool
-        (results in input order); without: local pipelined front."""
+        (results in input order); without: this front, pipelined."""
         if not self.fronts:
-            return self._local.search_many(queries, k, **clauses)
+            return super().search_many(queries, k, **clauses)
         n = len(self.fronts)
         batches = [queries[i::n] for i in range(n)]
         parts = ray.get([f.search_many.remote(b, k, **clauses)
@@ -662,21 +866,6 @@ class ShardedQueryService:
             for j, r in enumerate(res):
                 out[fi + j * n] = r
         return out
-
-    def match_count(self, query: str, **clauses) -> int:
-        return self._local.match_count(query, **clauses)
-
-    def search_weighted(self, term_weights, k: int = 10, **filters):
-        return self._local.search_weighted(term_weights, k, **filters)
-
-    def match_count_weighted(self, term_weights, **filters) -> int:
-        return self._local.match_count_weighted(term_weights, **filters)
-
-    def facet_counts(self, query: str, col: str, **gates):
-        return self._local.facet_counts(query, col, **gates)
-
-    def facet_histogram(self, query: str, col: str, edges, **gates):
-        return self._local.facet_histogram(query, col, edges, **gates)
 
     def suggest(self, prefix: str, k: int = 10):
         """Distributed prefix suggestion on the term-sharded tier.
@@ -688,7 +877,7 @@ class ShardedQueryService:
         doc-range workers; one replica per shard answers."""
         if k <= 0 or not prefix:
             return []
-        futs = [ranges[0][0].call.remote("suggest", prefix, k,
+        futs = [ranges[0][0].call.remote("suggest", None, prefix, k,
                                          self._shard_parts[si])
                 for si, ranges in enumerate(self.shards)]
         cand = [r for p in ray.get(futs) for r in p]
@@ -700,7 +889,7 @@ class ShardedQueryService:
         read is disk-side and independent of the worker's term-part /
         doc-range residency), so only the k window strings move."""
         return ray.get(self.shards[0][0][0].call.remote(
-            "snippets_of", query, list(doc_ids), *args, **kwargs))
+            "snippets_of", None, query, list(doc_ids), *args, **kwargs))
 
     def url_of(self, doc_ids):
         """Top-k url hydration: shard 0's doc-range workers tile the id
@@ -708,8 +897,9 @@ class ShardedQueryService:
         first non-None per position is exact (with n_doc_ranges=1 it is
         a single call).  Only k urls move."""
         ids = list(doc_ids)
-        return _first_held(ray.get([replicas[0].call.remote("url_of", ids)
-                                    for replicas in self.shards[0]]))
+        return _first_held(ray.get([
+            replicas[0].call.remote("url_of", None, ids)
+            for replicas in self.shards[0]]))
 
     def shutdown(self):
         for ranges in self.shards:
@@ -720,277 +910,3 @@ class ShardedQueryService:
             ray.kill(f)
         self.shards = []
         self.fronts = []
-
-
-# ---------------------------------------------------------------------------
-# doc-sharded tier: per-doc-range sub-indexes + distributed-IDF exchange
-# ---------------------------------------------------------------------------
-
-@ray.remote
-class DocShardWorker:
-    """One doc-range sub-index (its own postings + docmeta), whose
-    loader nothing mutates after construction.
-
-    Global N and avgdl are the loader's constructor ``stats``: with
-    ``max_restarts`` set, Ray re-runs only ``__init__`` after an actor
-    death, and ctor args replay, so the revived actor scores exactly
-    as the original did.  Per-term global dfs come with each call."""
-
-    def __init__(self, index_dir: str, n_docs: int | None = None,
-                 avgdl: float | None = None):
-        self.idx = InvertedIndex(
-            index_dir, stats=None if n_docs is None else (n_docs, avgdl))
-
-    def call(self, name: str, dfs: dict[str, int] | None, *args,
-             **kwargs):
-        """Run ``InvertedIndex.<name>`` among THIS shard's docs on a
-        view that scores with the front's GLOBAL per-term ``dfs`` (None
-        for calls that score nothing), so every score equals one global
-        index's."""
-        return getattr(self.idx.scored_with(dfs), name)(*args, **kwargs)
-
-    def term_dfs(self, terms: list[str]) -> dict[str, int]:
-        return dict(zip(terms, self.idx.dfs_of(terms)))
-
-
-class DocShardedQueryService:
-    """The QPS-optimal distributed layout (classic web-search design):
-    each shard holds a COMPLETE index over a disjoint doc range, answers
-    top-k locally, and the front merges S small top-k lists — network
-    per query is O(S * k), independent of posting lengths (vs the
-    term-sharded tier's O(sum df)).
-
-    Exactness: naive per-shard BM25 would use local df/N/avgdl and
-    drift from a single global index.  This front runs the classic
-    distributed-statistics exchange instead: global N/avgdl are summed
-    from the manifests and passed to each worker's constructor once;
-    per query, phase 1 sums each shard's df for the query terms
-    (memoized front-side) and phase 2 sends those dfs with the call,
-    so each shard scores with GLOBAL stats and the merged top-k is
-    exact: scores are BIT-identical to a single global index on either
-    route (pytest-asserted; the sum order keys on the global df).  No
-    call changes a worker's state: a shard's cached runs record the
-    global df they were scored with, which is fixed for a term, so
-    steady-state serving re-decodes nothing.
-
-    Every other clause is a per-doc predicate over docs each shard
-    owns whole (where / where_range sidecars, must / exclude /
-    require_all postings, phrase matching), so shard-local gating
-    merges exactly: top-k lists merge, counts and facet buckets sum,
-    and hydration takes the one shard that answers per doc.
-
-    Requirement: the doc partitioner must be doc-consistent (e.g.
-    hash64(url) % S) so a url's duplicates dedup within one shard.
-    Doc-values filters need attach_doc_values per SHARD index.
-    """
-
-    def __init__(self, index_dirs: list[str], num_cpus: float = 0.5,
-                 method: str = "bmw"):
-        self.method = method
-        # global stats from the manifests DRIVER-side (cheap JSON reads)
-        # so they can ride in the worker CONSTRUCTOR — restart-safe
-        # (see DocShardWorker docstring); max_task_retries replays a
-        # read-only call on the revived actor transparently
-        stats = [index_io.load_manifest(d)["stats"] for d in index_dirs]
-        self.n_docs = sum(int(s["n_docs"]) for s in stats)
-        tot = sum(int(s["total_tokens"]) for s in stats)
-        # same float op as index_io.finalize -> bitwise-equal avgdl
-        self.avgdl = (tot / self.n_docs) if self.n_docs else 0.0
-        self.workers = [
-            DocShardWorker.options(num_cpus=num_cpus, max_restarts=4,
-                                   max_task_retries=2)
-            .remote(d, self.n_docs, self.avgdl) for d in index_dirs]
-        ray.get(self._submit("search", None, "", 1))  # warm
-        self.cfg = EngineConfig.from_dict(
-            index_io.load_manifest(index_dirs[0])["config"])
-        # count-bounded LRU: the front's global-df memo otherwise grows
-        # with distinct query terms forever
-        self._df_cache = LRUCache(1_000_000)
-        # ops probe: wire rows + rounds of the latest TA suggest call
-        self.last_suggest_stats: dict = {}
-
-    def _global_dfs(self, terms: list[str]) -> dict[str, int]:
-        out = {t: self._df_cache.get(t) for t in terms}
-        missing = [t for t, v in out.items() if v is None]
-        if missing:
-            per_shard = ray.get([w.term_dfs.remote(missing)
-                                 for w in self.workers])
-            for t in missing:
-                out[t] = sum(d[t] for d in per_shard)
-        # put only after ``out`` holds every term: the puts then make
-        # this query's terms the newest entries, in query order
-        for t in terms:
-            self._df_cache.put(t, out[t], 1)
-        return out
-
-    def _dfs(self, query: str) -> dict[str, int]:
-        # must / exclude terms are membership masks, df-independent:
-        # only scored terms exchange
-        return self._global_dfs(terms_of(query, self.cfg))
-
-    def _submit(self, name: str, dfs, *args, **kwargs) -> list:
-        return [w.call.remote(name, dfs, *args, **kwargs)
-                for w in self.workers]
-
-    def _fan(self, name: str, dfs, *args, **kwargs) -> list:
-        return ray.get(self._submit(name, dfs, *args, **kwargs))
-
-    def search(self, query: str, k: int = 10, **clauses):
-        if k <= 0:
-            return []
-        return _merge_topk(self._fan("search", self._dfs(query), query, k,
-                                     method=self.method, **clauses), k)
-
-    def search_many(self, queries: list[str], k: int = 10, **clauses):
-        """Pipelined: all queries' per-shard top-k futures are in flight
-        before the first merge (merges touch only shards x k rows)."""
-        if k <= 0:
-            return [[] for _ in queries]
-        plans = [self._submit("search", self._dfs(q), q, k,
-                              method=self.method, **clauses)
-                 for q in queries]
-        return [_merge_topk(ray.get(p), k) for p in plans]
-
-    def search_phrase(self, query: str, k: int = 10, **kwargs):
-        """Distributed phrase / proximity top-k (positional shard
-        indexes only).  Phrase matching is a PER-DOCUMENT predicate and
-        every doc lives whole on one shard, so scattering the phrase
-        and merging per-shard top-k is exact — the reason real engines
-        shard by document, not by term: a term-sharded layout would
-        have to ship position runs between shards for every multi-term
-        phrase."""
-        if k <= 0:
-            return []
-        return _merge_topk(self._fan("search_phrase", self._dfs(query),
-                                     query, k, **kwargs), k)
-
-    def search_weighted(self, term_weights, k: int = 10, **filters):
-        """Weighted-term (SPLADE-seam) top-k: the weight keys are the
-        scored terms VERBATIM (callers supply already-analyzed terms,
-        the learned-sparse contract), so the global-df exchange runs
-        over them directly — no tokenize."""
-        if k <= 0:
-            return []
-        items = weight_items(term_weights)
-        dfs = self._global_dfs(list(dict.fromkeys(t for t, _ in items)))
-        return _merge_topk(self._fan("search_weighted", dfs, items, k,
-                                     **filters), k)
-
-    def match_count_weighted(self, term_weights, **filters) -> int:
-        return sum(self._fan("match_count_weighted", None,
-                             weight_items(term_weights), **filters))
-
-    def match_count(self, query: str, **clauses) -> int:
-        # masks need no df, but a miss decodes with the global dfs, so
-        # the scored searches that follow reuse the run
-        return sum(self._fan("match_count", self._dfs(query), query,
-                             **clauses))
-
-    def facet_counts(self, query: str, col: str, **gates):
-        return _sum_counts(self._fan("facet_counts", self._dfs(query),
-                                     query, col, **gates))
-
-    def facet_histogram(self, query: str, col: str, edges, **gates):
-        return _sum_buckets(self._fan("facet_histogram", self._dfs(query),
-                                      query, col, list(edges), **gates))
-
-    def snippets_of(self, query: str, doc_ids, *args, **kwargs):
-        """Each shard windows the docs it owns (doc text never crosses
-        the wire — only the k window strings return)."""
-        return _first_held(self._fan("snippets_of", None, query,
-                                     list(doc_ids), *args, **kwargs))
-
-    def url_of(self, doc_ids):
-        return _first_held(self._fan("url_of", None, list(doc_ids)))
-
-    def suggest(self, prefix: str, k: int = 10):
-        """Distributed prefix suggestion by THRESHOLD ALGORITHM (Fagin
-        TA shape) — a term outside one shard's local top-k can still
-        win on the SUMMED df, but full per-shard enumeration ships
-        ~every prefixed (term, df) pair per keystroke.  Instead:
-
-        phase 1: each shard returns its local top-(m+1) (m = 2k + 8,
-        doubling per round): the top-m, and as REMAINDER BOUND the
-        (m+1)th df — an upper bound on any term it didn't return (the
-        rows are df-desc sorted).  theta = the kth
-        largest PARTIAL sum over seen terms (a lower bound of the true
-        kth summed df); rounds deepen until no UNSEEN term's upper
-        bound (sum of all remainder bounds) can reach theta, or every
-        shard is exhausted.
-
-        phase 2: exact dfs are fetched ONLY for seen terms whose upper
-        bound (partial + non-reporting shards' remainder bounds) can
-        still reach theta, and only from the shards that didn't report
-        them.  Terms pruned by either phase have exact sum strictly
-        below the kth exact sum (partial <= exact, bounds are upper
-        bounds), so the cut is BIT-IDENTICAL to the exhaustive merge —
-        pytest pins this against the exhaustive merge of every
-        shard's whole prefixed range on the fixture set.
-
-        ``last_suggest_stats`` records wire rows + rounds (the test's
-        exchange-size assertion and an ops probe)."""
-        if k <= 0 or not prefix:
-            return []
-        n_shards = len(self.workers)
-        seen: list[dict[str, int]] = [dict() for _ in range(n_shards)]
-        bounds = [0] * n_shards
-        exhausted = [False] * n_shards
-        wire_rows = 0
-        m = 2 * k + 8
-        rounds = 0
-        while True:
-            rounds += 1
-            live = [si for si in range(n_shards) if not exhausted[si]]
-            parts = ray.get([self.workers[si].call.remote(
-                "suggest", None, prefix, m + 1) for si in live])
-            for si, rows in zip(live, parts):
-                wire_rows += len(rows)
-                exhausted[si] = len(rows) <= m
-                bounds[si] = 0 if exhausted[si] else int(rows[m][1])
-                seen[si] = dict(rows[:m])  # refetch supersedes (superset)
-            partial: dict[str, int] = {}
-            for s in seen:
-                for t, df in s.items():
-                    partial[t] = partial.get(t, 0) + df
-            if all(exhausted):
-                # every (term, shard) df is known — partials are exact
-                out = sorted(partial.items(), key=lambda x: (-x[1], x[0]))
-                self.last_suggest_stats = {"wire_rows": wire_rows,
-                                           "rounds": rounds, "exact_fetch": 0}
-                return out[:k]
-            unseen_upper = sum(bounds)
-            if len(partial) >= k:
-                theta = sorted(partial.values(), reverse=True)[k - 1]
-                if unseen_upper < theta:
-                    break
-            m *= 2
-        # phase 2: exact sums for candidates whose upper bound reaches
-        # theta, fetched only from the shards that didn't report them
-        need: list[list[str]] = [[] for _ in range(n_shards)]
-        cand = []
-        for t, p in partial.items():
-            upper = p + sum(bounds[si] for si in range(n_shards)
-                            if t not in seen[si])
-            if upper >= theta:
-                cand.append(t)
-                for si in range(n_shards):
-                    if t not in seen[si] and not exhausted[si]:
-                        need[si].append(t)
-        fetch = [(si, ts) for si, ts in enumerate(need) if ts]
-        extra = ray.get([self.workers[si].term_dfs.remote(ts)
-                         for si, ts in fetch])
-        exact_fetch = sum(len(ts) for _, ts in fetch)
-        for (si, _ts), dfs in zip(fetch, extra):
-            for t, df in dfs.items():
-                seen[si][t] = df
-        tot = {t: sum(s.get(t, 0) for s in seen) for t in cand}
-        out = sorted(tot.items(), key=lambda x: (-x[1], x[0]))
-        self.last_suggest_stats = {"wire_rows": wire_rows + exact_fetch,
-                                   "rounds": rounds,
-                                   "exact_fetch": exact_fetch}
-        return out[:k]
-
-    def shutdown(self):
-        for w in self.workers:
-            ray.kill(w)
-        self.workers = []

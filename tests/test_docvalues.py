@@ -356,7 +356,7 @@ def test_doc_sharded_filtered_and_facets(dv_index, unit_webtext,
         shard_dirs.append(d)
 
     local = InvertedIndex(idx_dir)
-    svc = DocShardedQueryService(shard_dirs, method="daat")
+    svc = DocShardedQueryService(shard_dirs)
     try:
         for langs in (("en",), ("de", "fr")):
             assert svc.search(QUERY, k=10, where=("lang", langs)) == \
@@ -368,10 +368,10 @@ def test_doc_sharded_filtered_and_facets(dv_index, unit_webtext,
                 local.facet_counts(QUERY, "lang", where=("lang", langs))
         # unfiltered scored search still exact after facet calls (the
         # decode cache must hold override-idf scores, not local-df ones)
-        assert svc.search(QUERY, k=10) == \
+        assert svc.search(QUERY, k=10, method="daat") == \
             local.search(QUERY, k=10, method="daat")
         # MUST_NOT exclusion is a per-doc predicate too — exact sharded
-        assert svc.search(QUERY, k=10, exclude="house") == \
+        assert svc.search(QUERY, k=10, method="daat", exclude="house") == \
             local.search(QUERY, k=10, method="daat", exclude="house")
         # distributed suggest: summed per-shard dfs == one global index
         for prefix in ("th", "a", "zz"):
@@ -830,7 +830,7 @@ def test_df_cache_eviction_never_drops_current_query_terms():
     from engine.lru import LRUCache
     from engine.serve import DocShardedQueryService
     svc = DocShardedQueryService.__new__(DocShardedQueryService)
-    svc.workers = []
+    svc.shards = []
     svc._df_cache = LRUCache(3)
     assert svc._global_dfs(["a", "b", "c"]) == {"a": 0, "b": 0, "c": 0}
     # 4 terms > cap, one of them ('a') is the oldest cache entry —

@@ -117,14 +117,14 @@ def test_doc_sharded_revival_keeps_global_stats(ray_session, e2e_webtext,
 
     local = InvertedIndex(d)
     want = local.search(Q, k=10, method="daat")
-    svc = DocShardedQueryService(shard_dirs, method="daat")
+    svc = DocShardedQueryService(shard_dirs)
     try:
-        assert svc.search(Q, k=10) == want
+        assert svc.search(Q, k=10, method="daat") == want
         for w in svc.workers:
             _kill(w)
         # revived shards must reapply global stats from ctor args:
         # with local stats the scores would differ (not just rank)
-        assert svc.search(Q, k=10) == want
+        assert svc.search(Q, k=10, method="daat") == want
         assert svc.search_weighted({"the": 2.0, "data": 1.25}, k=10) == \
             local.search_weighted({"the": 2.0, "data": 1.25}, k=10)
     finally:

@@ -333,6 +333,15 @@ def test_slop_zero_equals_exact(pos_index):
         assert idx.search_phrase(q, slop=0) == idx.search_phrase(q)
 
 
+def test_negative_slop_rejected(pos_index):
+    """No occurrence has a negative total gap: slop < 0 is a caller
+    error, not an empty answer."""
+    idx = InvertedIndex(pos_index[0])
+    for k in (10, 0):
+        with pytest.raises(ValueError, match="slop"):
+            idx.search_phrase("of the", k=k, slop=-1)
+
+
 def test_doc_sharded_phrase_bit_identical(pos_index, ray_session,
                                           tmp_path_factory):
     """Doc-sharded phrase serving == single positional index, bitwise

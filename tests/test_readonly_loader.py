@@ -30,7 +30,7 @@ from engine.build import build_index
 from engine.config import EngineConfig
 from engine.docvalues import attach_doc_values
 from engine.query import InvertedIndex
-from engine.serve import DocShardWorker
+from engine.serve import IndexWorker
 
 # 8-posting blocks: the common terms span tens of blocks, so the
 # pruned route and its block-by-block decode run on a small corpus
@@ -209,9 +209,9 @@ def test_concurrent_http_clients_equal_sequential(ro_index):
 # global statistics travel with the call
 # ---------------------------------------------------------------------------
 
-def _local(actor_cls, *args):
+def _local(actor_cls, *args, **kwargs):
     """An instance of a Ray actor class's own class, run in-process."""
-    return actor_cls.__ray_metadata__.modified_class(*args)
+    return actor_cls.__ray_metadata__.modified_class(*args, **kwargs)
 
 
 SCORED = [
@@ -265,7 +265,7 @@ def test_fixed_dfs_decode_each_term_once(ro_index, monkeypatch):
         decodes.append(e.term)
         return real(self, e)
     monkeypatch.setattr(InvertedIndex, "_decode_term", counted)
-    w = _local(DocShardWorker, ro_index, 9000, 42.0)
+    w = _local(IndexWorker, ro_index, stats=(9000, 42.0))
     q = "t000 t001 t002 t011"
     dfs = {t: 5 * w.idx.df_of(t) for t in q.split()}
     first = w.call("search", dfs, q, 10, method="daat")

@@ -23,7 +23,7 @@ from engine.build import build_index, make_tokenize_partial
 from engine.config import EngineConfig
 from engine.docvalues import attach_doc_values
 from engine.query import InvertedIndex, part_of, parts_of
-from engine.serve import DocShardWorker, ShardWorker, _Front
+from engine.serve import IndexWorker, _Front
 from engine.tokenize import HASH_FNS
 
 VOCAB_TEXTS = [
@@ -146,7 +146,7 @@ def test_one_hasher_call_per_request(count_index, hash_calls, monkeypatch,
 
 
 def test_shard_worker_score_terms_one_hasher_call(count_index, hash_calls):
-    w = _local(ShardWorker, count_index)
+    w = _local(IndexWorker, count_index)
     terms = WORDS[:20] + ["nosuchterm"]
     got = w.score_terms(terms)
     assert hash_calls == [len(terms)]
@@ -160,7 +160,7 @@ def test_shard_worker_score_terms_one_hasher_call(count_index, hash_calls):
 
 
 def test_doc_shard_term_dfs_one_hasher_call(count_index, hash_calls):
-    w = _local(DocShardWorker, count_index)
+    w = _local(IndexWorker, count_index)
     terms = WORDS[:20] + ["nosuchterm"]
     got = w.term_dfs(terms)
     assert hash_calls == [len(terms)]

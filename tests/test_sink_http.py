@@ -729,7 +729,8 @@ def test_http_capability_probe_vs_engine_fault():
 def test_http_malformed_search_body():
     """Malformed /v1/search input is a client 400 invalid_request, never
     a dropped connection or a 500: a query that is not a string, a
-    filter without "col", a filter that is not an object, and a JSON
+    filter without "col" or without values (it would match no
+    document), a filter that is not an object, and a JSON
     body that is not an object (on every JSON POST route)."""
     from engine.http_serve import EngineHttpServer
 
@@ -752,6 +753,7 @@ def test_http_malformed_search_body():
                 ("search", {"query": 5}),
                 ("search", {"query": ["x"]}),
                 ("search", {"query": "x", "filter": {"values": ["en"]}}),
+                ("search", {"query": "x", "filter": {"col": "lang"}}),
                 ("search", {"query": "x", "filter": "en"}),
                 ("search", {"query": "x", "filter": ["en"]}),
                 ("search", [1]),
@@ -766,9 +768,9 @@ def test_http_malformed_search_body():
 
 def test_http_phrase_search(tmp_path, unit_webtext):
     """/v1/search {"phrase": true, "slop": N} == search_phrase on both
-    backends; non-positional index and phrase-less tiers -> clear 400s;
-    facet composed with phrase is rejected (the aggregation is defined
-    over the disjunctive match set)."""
+    backends; non-positional index, negative slop and phrase-less
+    tiers -> clear 400s; facet composed with phrase is rejected (the
+    aggregation is defined over the disjunctive match set)."""
     import json as _json
     import urllib.request
     from engine.build import build_index
@@ -813,6 +815,10 @@ def test_http_phrase_search(tmp_path, unit_webtext):
                                    "facet": "lang"})
         assert status == 400 and \
             resp["error"]["code"] == "unsupported_facet"
+        status, resp = post(port, {"query": ph, "phrase": True,
+                                   "slop": -1})
+        assert status == 400 and \
+            resp["error"]["code"] == "invalid_request"
     finally:
         srv.stop()
 
@@ -837,6 +843,10 @@ def test_http_phrase_search(tmp_path, unit_webtext):
         assert [(h["doc_id"], round(h["score"], 9))
                 for h in resp["hits"]] == \
             [(d, round(s, 9)) for d, s in want]
+        status, resp = post(port, {"query": ph, "phrase": True,
+                                   "slop": -1})
+        assert status == 400 and \
+            resp["error"]["code"] == "invalid_request"
     finally:
         srv.stop()
         svc.shutdown()

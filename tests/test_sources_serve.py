@@ -321,13 +321,13 @@ def test_doc_sharded_query_service(ray_session, e2e_webtext,
 
     attach_doc_values(global_dir, e2e_webtext, ["text", "lang"],
                       dedup="earliest")
-    svc = DocShardedQueryService(shard_dirs, method="daat")
+    svc = DocShardedQueryService(shard_dirs)
     try:
         local = InvertedIndex(global_dir)
         for q in queries:
             want = local.search(q, k=10, method="daat")
             # bit-identical: global-stats exchange + same accumulation
-            assert svc.search(q, k=10) == want, q
+            assert svc.search(q, k=10, method="daat") == want, q
         assert svc.search("", 10) == []
         assert svc.search("zzz_unseen_term", 10) == []
         # distributed snippet hydration: each shard windows only the
@@ -366,7 +366,7 @@ def test_doc_sharded_query_service(ray_session, e2e_webtext,
             for kw in ({"must": "the data"}, {"exclude": "data"},
                        {"require_all": True},
                        {"must": "data", "exclude": "house"}):
-                assert svc.search(q, k=10, **kw) == \
+                assert svc.search(q, k=10, method="daat", **kw) == \
                     local.search(q, k=10, method="daat", **kw), (q, kw)
         assert svc.search(queries[0], k=10, must="zzz_unseen_term") == []
         # distributed hits.total: per-shard counts sum over the
@@ -379,7 +379,7 @@ def test_doc_sharded_query_service(ray_session, e2e_webtext,
     finally:
         svc.shutdown()
 
-    svc_bmw = DocShardedQueryService(shard_dirs, method="bmw")
+    svc_bmw = DocShardedQueryService(shard_dirs)
     try:
         local = InvertedIndex(global_dir)
         for q in queries:
@@ -405,7 +405,7 @@ def test_doc_sharded_suggest_threshold_algorithm(ray_session,
     from engine.build import build_index
     from engine.config import EngineConfig
     from engine.query import InvertedIndex
-    from engine.serve import DocShardedQueryService
+    from engine.serve import DocShardedQueryService, QueryService
 
     rng = np.random.default_rng(17)
     vocab = np.array([f"p{i:04d}" for i in range(240)], dtype=object)
@@ -456,13 +456,25 @@ def test_doc_sharded_suggest_threshold_algorithm(ray_session,
                 tot[t] = tot.get(t, 0) + df
         return sorted(tot.items(), key=lambda x: (-x[1], x[0]))[:k]
 
-    svc = DocShardedQueryService(shard_dirs, method="daat")
+    svc = DocShardedQueryService(shard_dirs)
+    # the replica tier runs the same TA over its one shard
+    replica = QueryService(global_dir, replicas=2)
     try:
         for prefix in ("p", "p0", "p01", "p0001", "zz"):
             for k in (3, 10, 50, 500):
                 want = local.suggest(prefix, k=k)
                 assert svc.suggest(prefix, k=k) == want, (prefix, k)
+                assert replica.suggest(prefix, k=k) == want, (prefix, k)
                 assert suggest_full(prefix, k=k) == want, (prefix, k)
+        # a tie at the k-th df: the cut keeps the smaller terms
+        full = local.suggest("p", k=1 << 62)
+        tie_ks = [k for k in range(1, len(full))
+                  if full[k - 1][1] == full[k][1]]
+        assert tie_ks, "no tie at any k-th df: fixture drifted"
+        for k in tie_ks[:4]:
+            want = local.suggest("p", k=k)
+            assert svc.suggest("p", k=k) == want, k
+            assert replica.suggest("p", k=k) == want, k
         # exchange bound: a 1-char prefix matches all 240 terms on both
         # shards (~480 full-enumeration rows); TA at k=5 ships a small
         # multiple of k per shard
@@ -473,6 +485,7 @@ def test_doc_sharded_suggest_threshold_algorithm(ray_session,
         assert stats["wire_rows"] < full_rows / 4, stats
     finally:
         svc.shutdown()
+        replica.shutdown()
 
 
 def test_list_media_files(ray_session, tmp_path):
@@ -518,7 +531,7 @@ def test_front_gate_cache_eviction(ray_session, e2e_webtext,
     svc = ShardedQueryService(idx_dir, n_shards=2, replicas_per_shard=1)
     try:
         local = InvertedIndex(idx_dir)
-        front = svc._local
+        front = svc
         # tiny budget: every distinct gate term evicts the previous one
         front._gate_cache.budget = 1 << 10
         gates = [w for q in queries[:6] for w in q.split()][:8]

@@ -201,7 +201,7 @@ def test_doc_sharded_weighted_bit_identical(ray_session, e2e_webtext,
         shard_dirs.append(d)
 
     local = InvertedIndex(global_dir)
-    svc = DocShardedQueryService(shard_dirs, method="daat")
+    svc = DocShardedQueryService(shard_dirs)
     try:
         for w in _weight_sets(local):
             got = svc.search_weighted(w, k=10)
@@ -209,7 +209,8 @@ def test_doc_sharded_weighted_bit_identical(ray_session, e2e_webtext,
             assert got == want, w          # bit-identical, incl. scores
         # BM25 is weighted search at w = 1, bit for bit
         q, ones = _ones(local)
-        assert svc.search_weighted(ones, k=100) == svc.search(q, k=100)
+        assert svc.search_weighted(ones, k=100) == \
+            svc.search(q, k=100, method="daat")
         # a term present on only SOME shards still gets the global df
         assert svc.search_weighted({"zzqneverthere": 1.0}, k=10) == []
         # per-shard doc-values filters merge exactly (per-doc predicate)

@@ -1,22 +1,27 @@
-"""Local-index ``/v1/search`` throughput at 1, 2 and 4 concurrent clients.
+"""``/v1/search`` throughput of one serving tier at 1, 2 and 4 clients.
 
-Serves one index from an ``EngineHttpServer`` in local mode (the
-in-process ``InvertedIndex``, no Ray actors) in a subprocess that
+Serves an index from an ``EngineHttpServer`` in a subprocess that
 imports the engine of ``--checkout``, then drives it with N client
 processes, each posting perfbench's BM25 queries for ``--seed`` (k=10)
-back to back for ``--seconds``.  A warm-up pass runs every query once
-first, so the loader's caches hold the working set.  Clients are
-processes, so their own request handling does not share the server's
-GIL.
+back to back for ``--seconds``.  ``--tier local`` (the default) serves
+the in-process ``InvertedIndex``, no Ray actors; ``replica``,
+``termshard`` and ``docshard`` start that ``engine.serve`` tier in a
+2-CPU Ray session, sized as perfbench's server sizes it, and put the
+HTTP server in front of it.  A warm-up pass runs every query once
+first, so the caches hold the working set.  Clients are processes, so
+their own request handling does not share the server's GIL.
 
     python tools/http_qps.py --seed 1 --seconds 10
+    python tools/http_qps.py --tier docshard --seed 1
     python tools/http_qps.py --checkout ../parent --index .perfbench/qps/index-s1
 
 Without ``--index`` the tool generates the seed's perfbench fixture and
 builds a positional index once, in a 2-CPU Ray session, under
-``--workdir``.  Per concurrency it prints QPS and the p50 / p95 request
+``--workdir``; ``docshard`` serves the fixture's url-hash halves, built
+there too.  Per concurrency it prints QPS and the p50 / p95 request
 latency to stderr; the last stdout line is the whole result as JSON,
-with the affinity CPU count.  Non-200 answers are counted as failures.
+with the tier and the affinity CPU count.  Non-200 answers are counted
+as failures.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+SESSION_CPUS = 2      # the Ray session of the build and of the actor tiers
+ACTOR_CPUS = 0.25     # per serving actor, as in perfbench/server.py
+TIERS = ("local", "replica", "termshard", "docshard")
 
 
 def pct(values: list[float], q: float) -> float:
@@ -72,64 +80,103 @@ def client(port: int, queries: list[str], start: float, seconds: float,
     return done, failed, lat
 
 
-def serve(index: str) -> None:
+def init_ray() -> None:
+    import ray
+    ray.init(address="local", num_cpus=SESSION_CPUS, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False)
+
+
+def start_tier(tier: str, index: str, shards: list[str]):
+    """The actor tier ``tier``, warm, with perfbench's shapes: one
+    replica, two term shards, or one doc shard per url-hash half."""
+    from engine import serve as sv
+    if tier == "replica":
+        return sv.QueryService(index, replicas=1, num_cpus=ACTOR_CPUS)
+    if tier == "termshard":
+        return sv.ShardedQueryService(index, n_shards=2,
+                                      num_cpus=ACTOR_CPUS)
+    return sv.DocShardedQueryService(shards, num_cpus=ACTOR_CPUS)
+
+
+def serve(tier: str, index: str, shards: list[str]) -> None:
     """Server mode: print the port, serve until stdin closes."""
     from engine.http_serve import EngineHttpServer
-    srv = EngineHttpServer(index_dir=index)
-    print(srv.start(), flush=True)
-    sys.stdin.read()
-    srv.stop()
+    if tier == "local":
+        svc, srv = None, EngineHttpServer(index_dir=index)
+    else:
+        init_ray()
+        svc = start_tier(tier, index, shards)
+        srv = EngineHttpServer(service=svc)
+    try:
+        print(srv.start(), flush=True)
+        sys.stdin.read()
+    finally:
+        srv.stop()
+        if svc is not None:
+            import ray
+            svc.shutdown()
+            ray.shutdown()
 
 
-def prepare(args) -> tuple[str, list[str]]:
-    """-> (index dir, BM25 queries), building the index if needed."""
+def prepare(args) -> tuple[str, list[str], list[str]]:
+    """-> (index dir, shard index dirs, BM25 queries), building the
+    indexes the tier needs if they are missing."""
     sys.path.insert(0, PERFBENCH)
     sys.path.insert(0, ROOT)
     import fixture
     from oracle import Corpus
 
-    src = fixture.make_fixture(os.path.join(args.workdir, "fixtures"),
-                               args.seed)["all"]
+    fx = fixture.make_fixture(os.path.join(args.workdir, "fixtures"),
+                              args.seed)
     queries = fixture.make_query_mix(args.seed,
-                                     Corpus.from_parquet(src))["bm25"]
+                                     Corpus.from_parquet(fx["all"]))["bm25"]
     index = args.index or os.path.join(args.workdir, f"index-s{args.seed}")
-    if not os.path.isdir(index):
+    shards = [os.path.join(args.workdir, f"index-s{args.seed}-shard-{i}")
+              for i in range(len(fx["shards"]))]
+    pairs = [(fx["all"], index)]
+    if args.tier == "docshard":
+        pairs += zip(fx["shards"], shards)
+    todo = [(src, dst) for src, dst in pairs if not os.path.isdir(dst)]
+    if todo:
         import ray
         from engine.build import build_index
         from engine.config import EngineConfig
-        ray.init(address="local", num_cpus=2, include_dashboard=False,
-                 logging_level="ERROR", log_to_driver=False)
+        init_ray()
         try:
-            build_index(src, index, EngineConfig(store_positions=True),
-                        resume=False)
+            for src, dst in todo:
+                build_index(src, dst, EngineConfig(store_positions=True),
+                            resume=False)
         finally:
             ray.shutdown()
-    return index, queries
+    return index, shards, queries
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--checkout", default=ROOT,
                     help="checkout whose engine serves (default: this one)")
+    ap.add_argument("--tier", choices=TIERS, default="local")
     ap.add_argument("--index", help="existing index to serve")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--clients", default="1,2,4")
     ap.add_argument("--workdir",
                     default=os.path.join(ROOT, ".perfbench", "qps"))
-    ap.add_argument("--serve", help=argparse.SUPPRESS)   # server mode
+    # server mode: --serve INDEX [SHARD_INDEX ...], serving --tier
+    ap.add_argument("--serve", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.serve:
-        serve(args.serve)
+        serve(args.tier, args.serve[0], args.serve[1:])
         return 0
 
-    index, queries = prepare(args)
+    index, shards, queries = prepare(args)
     checkout = os.path.abspath(args.checkout)
     proc = subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--serve", index],
+        [sys.executable, os.path.abspath(__file__), "--tier", args.tier,
+         "--serve", index, *shards],
         cwd=checkout, env=dict(os.environ, PYTHONPATH=checkout),
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-    result = {"checkout": checkout, "seed": args.seed,
+    result = {"checkout": checkout, "tier": args.tier, "seed": args.seed,
               "seconds": args.seconds, "queries": len(queries),
               "cpus": len(os.sched_getaffinity(0)), "runs": []}
     try:
