@@ -511,8 +511,7 @@ def q_term_top_docs(sf_dir: str) -> pd.DataFrame:
                              "tf": pd.Series(dtype=np.int64)})
     df, pbytes, skips = ent
     from engine.postings import decode_postings
-    ids, tfs = decode_postings(pbytes, skips.tobytes(), df,
-                               idx.cfg.block_size)
+    ids, tfs = decode_postings(pbytes, skips, df, idx.cfg.block_size)
     order = np.lexsort((ids.astype(np.int64), -tfs.astype(np.int64)))[:20]
     return pd.DataFrame({
         "doc_id": ids.astype(np.int64)[order],

@@ -66,7 +66,7 @@ import pyarrow.parquet as pq
 from engine import index_io
 from engine.config import EngineConfig
 from engine.lru import LRUCache
-from engine.postings import (decode_postings, decode_skips, decode_block,
+from engine.postings import (decode_blocks, decode_postings, decode_skips,
                              decode_positions, gather_slices)
 from engine.tokenize import HASH_FNS, tokenize
 
@@ -422,7 +422,9 @@ class InvertedIndex:
         ``eidx`` maps kept entries to original entry indices when a
         tombstone overlay or the loader's ``doc_range`` dropped some
         (None otherwise).  A positions-cache hit routes and probes
-        nothing; a miss routes with ``route`` as in ``_lookup``."""
+        nothing; a miss routes with ``route`` as in ``_lookup``, and its
+        postings decode also scores and caches the term's run when the
+        decoded-term cache lacks it, so ``_resolve`` reads that run."""
         hit = self._positions_cache.get(term)
         if hit is not None:
             return hit
@@ -430,20 +432,18 @@ class InvertedIndex:
         if ent is None:
             return None
         df, pbytes, skips, pblob = ent
-        ids, tfs = decode_postings(pbytes, skips.tobytes(), df,
-                                   self.cfg.block_size)
-        pos, keep = self._held(ids)   # out of a doc_range: not held
+        ids, tfs = decode_postings(pbytes, skips, df, self.cfg.block_size)
+        pos, keep = self._kept(ids.view(np.int64))
+        run, gdf = self._postings_cache.get(term), self._gdfs.get(term, df)
+        if run is None or run[3] != gdf:
+            self._scored_run(_Item(term, 1.0, gdf, df, None),
+                             pos[keep], tfs[keep])
         tfs = tfs.astype(np.int64)
         # entry byte boundaries: value v ends at the v-th clear
-        # continuation bit; entry i spans values [vc[i], vc[i+1])
+        # continuation bit; entry i ends with value cumsum(tfs)[i] - 1
         blob = np.frombuffer(pblob, dtype=np.uint8)
         ends = np.flatnonzero((blob & 0x80) == 0)
-        vc = np.concatenate(([0], np.cumsum(tfs)))
-        offs = np.empty(tfs.size + 1, dtype=np.int64)
-        offs[0] = 0
-        offs[1:] = ends[vc[1:] - 1] + 1
-        if self._del_mask is not None:
-            keep &= ~self._del_mask[pos]
+        offs = np.concatenate(([0], ends[np.cumsum(tfs) - 1] + 1))
         eidx = None
         if not keep.all():
             eidx = np.flatnonzero(keep)
@@ -1202,48 +1202,44 @@ class InvertedIndex:
 
     def _decode_term(self, e: _Item):
         """Decode + per-posting BM25 scores of item ``e``'s term ->
-        (pos, scores, df, gdf), where ``pos`` indexes into the loader's
-        sorted ``_doc_ids``
-        (``self._doc_ids[pos]`` reconstructs the docID run).  Cached in
-        a byte-budget LRU (production engines cache decoded stopword
-        lists; scores are a pure function of (tf, doclen, global df)
-        so they cache too, with the global df they were scored with; a
-        decode under another global df replaces the entry).
+        (pos, scores, df, gdf), where ``pos`` indexes the loader's sorted
+        ``_doc_ids``.  Cached in a byte-budget LRU: scores are a pure
+        function of (tf, doclen, global df), so they cache with the
+        global df they were scored with, and a decode under another
+        global df replaces the entry.
 
-        A doc-range loader holds only its range's docmeta slice, so it
-        decodes ONLY the posting blocks whose docID window intersects
-        the range — postings are docID-sorted, so the range is a
-        contiguous block window found by binary search on the skip
-        table's last_doc column — and drops the window's out-of-range
-        ids (they would searchsorted to WRONG slots or past the end).
-        Concatenating every range's run in ascending-range order
-        reproduces the full decode bit-for-bit (same ids order, same
-        per-element score arithmetic)."""
+        A doc-range loader decodes ONLY the posting blocks whose docID
+        window meets its range (postings are docID-sorted, so a binary
+        search on the skip table's last_doc column finds the window)
+        and drops the ids it does not hold.  Concatenating every range's
+        run in ascending-range order reproduces the full decode bit for
+        bit."""
         # decoded since it was resolved: a repeated term's twin
         hit = self._postings_cache.get(e.term)
         if hit is not None and hit[3] == e.gdf:
             return hit
-        df, pbytes, skips = e.df, e.pbytes, e.skips
-        if self.doc_range is None:
-            ids, tfs = decode_postings(pbytes, skips.tobytes(), df,
-                                       self.cfg.block_size)
-            ids = ids.astype(np.int64)
-        else:
+        blocks = np.arange(e.skips.shape[0])
+        if self.doc_range is not None:
             lo, hi = self.doc_range
             hi_in = min(hi, (1 << 63)) - 1  # inclusive upper (int64-safe)
-            last = skips[:, 0]
-            b0 = int(np.searchsorted(last, lo, side="left"))
-            b1 = min(int(np.searchsorted(last, hi_in, side="left")),
-                     last.size - 1)
-            ids, tfs = self._decode_blocks(pbytes, skips, df,
-                                           range(b0, b1 + 1))
-            in_range = (ids >= lo) & (ids <= hi_in)
-            ids, tfs = ids[in_range], tfs[in_range]
-        pos = np.searchsorted(self._doc_ids, ids)
+            b0, b1 = np.searchsorted(e.skips[:, 0], (lo, hi_in))
+            blocks = blocks[b0:b1 + 1]
+        ids, tfs = decode_blocks(e.pbytes, e.skips, blocks, e.df,
+                                 self.cfg.block_size)
+        pos, keep = self._kept(ids.view(np.int64))
+        return self._scored_run(e, pos[keep], tfs[keep])
+
+    def _kept(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decoded doc ids -> (slot in ``_doc_ids``, kept?): held by
+        this loader and not deleted."""
+        pos, keep = self._held(ids)
         if self._del_mask is not None:
-            keep = ~self._del_mask[pos]
-            if not keep.all():
-                pos, tfs = pos[keep], tfs[keep]
+            keep &= ~self._del_mask[pos]
+        return pos, keep
+
+    def _scored_run(self, e: _Item, pos: np.ndarray, tfs: np.ndarray):
+        """Item ``e``'s run (pos, scores, df, gdf) from the ``_doc_ids``
+        slots and tfs of its kept postings, cached."""
         scores = self._term_score(tfs, self._doclens[pos],
                                   self.idf(e.gdf))
         # cache the SLIM form: (position, score) is all scoring needs
@@ -1254,18 +1250,8 @@ class InvertedIndex:
         # needs no dictionary probe.
         if self._doc_ids.size < (1 << 31):
             pos = pos.astype(np.int32)
-        return self._postings_cache.put(e.term, (pos, scores, df, e.gdf),
+        return self._postings_cache.put(e.term, (pos, scores, e.df, e.gdf),
                                         pos.nbytes + scores.nbytes)
-
-    def _decode_blocks(self, pbytes: bytes, skips: np.ndarray, df: int,
-                       blocks) -> tuple[np.ndarray, np.ndarray]:
-        """(int64 doc ids, tfs) of the given ascending posting blocks —
-        the random-access decode of block windows and of the blocks
-        holding filter / phase-B candidates."""
-        parts = [decode_block(pbytes, skips, int(b), df, self.cfg.block_size)
-                 for b in blocks] or [(np.empty(0, np.uint64),) * 2]
-        return (np.concatenate([p[0] for p in parts]).astype(np.int64),
-                np.concatenate([p[1] for p in parts]))
 
     # relative slack on every comparison against θ.  The pruned route's
     # partial sums add in bound order, so they may differ from the
@@ -1380,12 +1366,13 @@ class InvertedIndex:
                 len(pbytes) + skips.nbytes)
         return hit[4]
 
-    # a whole-term decode costs about as much as decoding this many of
-    # its blocks one at a time (255-block terms of a 60k-row index: 1.9
-    # to 3.0 ms whole vs 0.07 ms a block, 4 CPUs), and a whole decode
-    # is cached for later queries; fewer needed blocks than
-    # 1 / _BLOCK_SHARE of a term decode block by block
-    _BLOCK_SHARE = 16
+    # an uncached term needing fewer than 1 / _BLOCK_SHARE of its blocks
+    # decodes only those, else decodes whole (cached); a cached run is
+    # searched for fewer candidates than 1 / _BLOCK_SHARE of its
+    # postings.  Pruned route, 60k rows, cold budget, against 16: 2 cut
+    # BM25 / weighted p50 by 27% / 22%, 4 and 8 by half that, 32 lost
+    # 30%; 1 lost 30% of warm BM25 p95 (tools/ab_query.py, 4 CPUs)
+    _BLOCK_SHARE = 2
 
     def _candidate_scores(self, e: _Item, cand_pos: np.ndarray):
         """Item ``e``'s weighted scores for (at least) the candidates at
@@ -1402,8 +1389,9 @@ class InvertedIndex:
             need = np.unique(np.searchsorted(e.skips[:, 0], cand_ids))
             need = need[need < e.skips.shape[0]]
             if need.size * self._BLOCK_SHARE < e.skips.shape[0]:
-                ids, tfs = self._decode_blocks(e.pbytes, e.skips, e.df,
-                                               need)
+                ids, tfs = decode_blocks(e.pbytes, e.skips, need, e.df,
+                                         self.cfg.block_size)
+                ids = ids.view(np.int64)
                 slot = np.searchsorted(cand_ids, ids)
                 hit = slot < cand_ids.size
                 hit[hit] &= cand_ids[slot[hit]] == ids[hit]

@@ -188,6 +188,39 @@ def test_phrase_with_deletes(pos_index):
         assert got == exp, q
 
 
+def test_cold_phrase_decodes_each_term_once(pos_index, monkeypatch):
+    """With both decoded-term caches empty, a phrase query probes and
+    decodes each distinct term's postings once (the positions decode
+    also scores the term's run), and a repeat of it probes and decodes
+    nothing; the answers are a warm loader's."""
+    from engine import query
+    warm = InvertedIndex(pos_index[0])
+    want = {q: warm.search_phrase(q) for q in PHRASES}
+    present = {q: all(warm.df_of(t) for t in tokenize(q)) for q in PHRASES}
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*a, **kw):
+            calls.append(name)
+            return real(*a, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    count(query, "decode_postings")
+    count(query, "decode_blocks")
+    count(InvertedIndex, "_lookup")
+    for q in PHRASES:
+        cold = InvertedIndex(pos_index[0])
+        calls.clear()
+        assert cold.search_phrase(q) == want[q], q
+        if present[q]:
+            n = len(set(tokenize(q)))
+            assert sorted(calls) == ["_lookup"] * n + ["decode_postings"] * n
+            calls.clear()
+            assert cold.search_phrase(q) == want[q], q
+            assert calls == [], q
+
+
 def test_phrase_requires_positional_index(pos_index):
     idx = InvertedIndex(pos_index[1])
     with pytest.raises(ValueError, match="store_positions"):

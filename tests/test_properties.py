@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from engine.postings import (encode_postings, decode_postings, decode_skips,
-                             decode_block, varbyte_encode, varbyte_decode)
+                             decode_blocks, varbyte_encode, varbyte_decode)
 from engine.tokenize import tokenize
 from engine.chunk import split_markdown, split_fixed
 
@@ -48,7 +48,7 @@ def test_postings_roundtrip_any_blocksize(data, block_size):
     skips = decode_skips(sb)
     lo = 0
     for bi in range(skips.shape[0]):
-        bids, btfs = decode_block(pb, skips, bi, ids.size, block_size)
+        bids, btfs = decode_blocks(pb, skips, [bi], ids.size, block_size)
         hi = lo + bids.size
         assert np.array_equal(bids.astype(np.int64), ids[lo:hi])
         assert np.array_equal(btfs.astype(np.int64), tfs[lo:hi])

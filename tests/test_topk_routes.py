@@ -20,6 +20,8 @@ import pytest
 from engine.build import build_index
 from engine.config import EngineConfig
 from engine.docvalues import attach_doc_values
+from engine.postings import decode_blocks, decode_postings
+from engine import query
 from engine.query import InvertedIndex
 
 CFG = EngineConfig(num_parts=8, docmeta_parts=3, block_size=8)
@@ -83,17 +85,17 @@ def _run(idx: InvertedIndex, kind: str, q, k: int, where):
 def test_pruned_equals_exhaustive(routes_index, monkeypatch):
     calls = {"pruned": 0, "blocks": 0}
     real_pruned = InvertedIndex._search_pruned
-    real_blocks = InvertedIndex._decode_blocks
+    real_blocks = query.decode_blocks
 
     def pruned(self, *a):
         calls["pruned"] += 1
         return real_pruned(self, *a)
 
-    def blocks(self, *a):
-        calls["blocks"] += 1
-        return real_blocks(self, *a)
+    def blocks(pbytes, skips, need, *a):
+        calls["blocks"] += len(need) < skips.shape[0]   # a block subset
+        return real_blocks(pbytes, skips, need, *a)
     monkeypatch.setattr(InvertedIndex, "_search_pruned", pruned)
-    monkeypatch.setattr(InvertedIndex, "_decode_blocks", blocks)
+    monkeypatch.setattr(query, "decode_blocks", blocks)
     warm = {f: InvertedIndex(routes_index) for f in (True, False)}
     cold = InvertedIndex(routes_index, cache_budget_bytes=4096)
     cut = warm[True].filtered_dense_cutoff * warm[True].n_docs
@@ -144,3 +146,41 @@ def test_cache_budget_invariance(routes_index):
     for _ in range(2):
         assert [_run(small, *m) for m in mix] == first
         assert [_run(big, *m) for m in mix] == first
+
+
+def test_decode_blocks_on_index(routes_index):
+    """On the 8-posting-block index, random ascending block subsets of
+    real terms decode to the whole-term decode's slices, and doc-range
+    loaders (block-window decodes that start mid-term), with and
+    without tombstones, hold exactly the full loader's runs over their
+    ranges: same docs, same score bits."""
+    full = InvertedIndex(routes_index)
+    rng = np.random.default_rng(15)
+    common, rare = _vocab(full)
+    terms = common + rare[:60]
+    bs = CFG.block_size
+    for t in terms:
+        df, pbytes, skips = full.lookup(t)
+        ids, tfs = decode_postings(pbytes, skips, df, bs)
+        for _ in range(4):
+            keep = rng.random(skips.shape[0]) < rng.random()
+            rows = keep[np.arange(df) // bs]
+            got = decode_blocks(pbytes, skips, np.flatnonzero(keep), df, bs)
+            assert (got[0] == ids[rows]).all(), t
+            assert (got[1] == tfs[rows]).all(), t
+    docs = full._doc_ids
+    cuts = np.sort(rng.choice(docs[1:], 3, replace=False)).tolist()
+    bounds = list(zip([0] + cuts, cuts + [1 << 63]))
+    dead = rng.choice(docs, docs.size // 7, replace=False)
+    for deleted in (np.empty(0, np.int64), dead):
+        whole = InvertedIndex(routes_index, deleted=deleted)
+        ranges = [InvertedIndex(routes_index, doc_range=r, deleted=deleted)
+                  for r in bounds]
+        for t in terms:
+            pos, s = whole._decoded(t)[:2]
+            got = [(r._doc_ids[r._decoded(t)[0]], r._decoded(t)[1])
+                   for r in ranges]
+            assert (np.concatenate([g[0] for g in got]) ==
+                    whole._doc_ids[pos]).all(), t
+            assert np.concatenate([g[1] for g in got]).tobytes() == \
+                s.tobytes(), t
